@@ -76,7 +76,7 @@ race-all:
 # cold vs warm detect p50/p99, result-cache speedup, byte parity, plus a
 # Zipf-skewed fleet load run), and the pipeline set (BENCH_10.json:
 # whole-database detection over 200 narrow tables, sequential vs
-# work-stealing vs cross-table-batched, with byte parity enforced).
+# work-stealing, with byte parity enforced).
 bench:
 	scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json BENCH_10.json
 
@@ -92,7 +92,7 @@ bench-cache:
 	CACHE_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
 
 # bench-pipeline re-records only BENCH_10.json: the work-stealing scheduler
-# and cross-table batching suite over the many-small-tables corpus.
+# suite over the many-small-tables corpus.
 bench-pipeline:
 	PIPELINE_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json BENCH_10.json
 
@@ -100,8 +100,7 @@ bench-pipeline:
 # against the checked-in BENCH_10.json — but only when the baseline was
 # recorded on the same platform/cpus/go version (latency comparisons are
 # only honest back-to-back on one machine; elsewhere it skips). Byte parity
-# and the ≥5× forward-reduction floor are enforced unconditionally by the
-# benchmark itself.
+# is enforced unconditionally by the benchmark itself.
 bench-gate:
 	sh scripts/bench_gate.sh BENCH_10.json
 

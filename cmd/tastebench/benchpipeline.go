@@ -16,20 +16,19 @@ import (
 )
 
 type benchPipelineOpts struct {
-	tables      int
-	seed        int64
-	repeats     int
-	latency     float64
-	workers     int
-	lookahead   int
-	batchChunks int
+	tables    int
+	seed      int64
+	repeats   int
+	latency   float64
+	workers   int
+	lookahead int
 }
 
 // benchPipelineRecord is one BENCH_10 entry: whole-database detect latency
 // for an execution mode over the many-small-tables corpus, plus the
 // counters that explain it — Phase-2 forwards issued, prefetcher traffic,
-// and steal activity. The batched row carries the acceptance numbers:
-// forwards drop and byte parity against the sequential baseline.
+// and steal activity. The stealing row carries byte parity against the
+// sequential baseline.
 type benchPipelineRecord struct {
 	Name            string  `json:"name"`
 	GoMaxProcs      int     `json:"gomaxprocs"`
@@ -45,7 +44,6 @@ type benchPipelineRecord struct {
 	Steals          int64   `json:"steals,omitempty"`
 	StolenStages    int64   `json:"stolen_stages,omitempty"`
 	SpeedupP50      float64 `json:"speedup_p50_vs_sequential,omitempty"`
-	ForwardsDrop    float64 `json:"forwards_drop_vs_sequential,omitempty"`
 	Parity          string  `json:"parity,omitempty"`
 }
 
@@ -59,11 +57,9 @@ func canonReport(rep *core.Report) (string, error) {
 }
 
 // runBenchPipeline measures whole-database detection over a corpus of many
-// narrow tables (the per-table-overhead-dominated shape) in three modes:
-// sequential, work-stealing with cross-table batching disabled, and
-// work-stealing with batching. Every mode must produce byte-identical
-// results; the batched mode must cut Phase-2 forwards ≥5×. Prints one
-// BENCH_10 JSON line per mode.
+// narrow tables (the per-table-overhead-dominated shape) in two modes:
+// sequential and work-stealing. Both must produce byte-identical results.
+// Prints one BENCH_10 JSON line per mode.
 func runBenchPipeline(opts benchPipelineOpts) error {
 	if opts.tables <= 0 {
 		opts.tables = 200
@@ -74,21 +70,14 @@ func runBenchPipeline(opts benchPipelineOpts) error {
 	if opts.latency < 0 {
 		opts.latency = 0.05
 	}
-	// Batch occupancy is bounded by the worker count (the intra-request
-	// batcher must flush once every worker is blocked submitting), so the
-	// pool defaults to the chunk cap: 8 workers let a full 8-chunk forward
-	// assemble even on one CPU.
 	if opts.workers <= 0 {
 		opts.workers = 8
-	}
-	if opts.batchChunks <= 0 {
-		opts.batchChunks = 8
 	}
 
 	// Untrained tiny model with a near-full uncertainty band (α=0.01,
 	// β=0.99): every column is uncertain after Phase 1 and goes through the
-	// content path, so the bench exercises scan prefetch and cross-table
-	// batching on all tables.
+	// content path, so the bench exercises scan prefetch and the content
+	// tower on all tables.
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.SmallTablesProfile(opts.tables), opts.seed)
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 2000)
 	types := adtd.NewTypeSpace(ds.Registry.Names())
@@ -125,18 +114,12 @@ func runBenchPipeline(opts benchPipelineOpts) error {
 	}{
 		{"pipeline/sequential", core.SequentialMode},
 		{"pipeline/stealing", core.ExecMode{
-			Pipelined: true, Workers: opts.workers,
-			Lookahead: opts.lookahead, BatchChunks: -1,
-		}},
-		{"pipeline/stealing_batched", core.ExecMode{
-			Pipelined: true, Workers: opts.workers,
-			Lookahead: opts.lookahead, BatchChunks: opts.batchChunks,
+			Pipelined: true, Workers: opts.workers, Lookahead: opts.lookahead,
 		}},
 	}
 
 	gmp := runtime.GOMAXPROCS(0)
 	var baseP50 float64
-	var baseForwards int
 	var baseCanon string
 	for _, m := range modes {
 		latencies := make([]float64, 0, opts.repeats)
@@ -175,13 +158,10 @@ func runBenchPipeline(opts benchPipelineOpts) error {
 			Steals: rep.Steals, StolenStages: rep.StolenStages,
 		}
 		if m.name == "pipeline/sequential" {
-			baseP50, baseForwards, baseCanon = rec.P50Millis, rec.ContentForwards, canon
+			baseP50, baseCanon = rec.P50Millis, canon
 		} else {
 			if rec.P50Millis > 0 {
 				rec.SpeedupP50 = baseP50 / rec.P50Millis
-			}
-			if rec.ContentForwards > 0 {
-				rec.ForwardsDrop = float64(baseForwards) / float64(rec.ContentForwards)
 			}
 			rec.Parity = "ok"
 			if canon != baseCanon {
@@ -196,14 +176,6 @@ func runBenchPipeline(opts benchPipelineOpts) error {
 
 		if rec.Parity == "MISMATCH" {
 			return fmt.Errorf("%s: results differ from sequential mode", m.name)
-		}
-		if m.name == "pipeline/stealing_batched" {
-			if rec.ForwardsDrop < 5 {
-				return fmt.Errorf("batched mode forwards drop %.1fx < 5x target (%d vs %d)",
-					rec.ForwardsDrop, rec.ContentForwards, baseForwards)
-			}
-			fmt.Fprintf(os.Stderr, "tastebench: benchpipeline: batched forwards %d vs sequential %d (%.1fx drop), p50 %.0fms vs %.0fms (%.2fx)\n",
-				rec.ContentForwards, baseForwards, rec.ForwardsDrop, rec.P50Millis, baseP50, rec.SpeedupP50)
 		}
 	}
 	return nil

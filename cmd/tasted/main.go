@@ -43,32 +43,31 @@ import (
 func main() {
 	autoMode := core.AutoMode()
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		debugAddr    = flag.String("debug-addr", "", "observability listener serving /metrics and /debug/pprof (empty disables)")
-		checkpoint   = flag.String("checkpoint", "", "ADTD checkpoint from tastetrain (matching -tables/-seed)")
-		registryDir  = flag.String("registry", "", "model-registry journal directory (from tastetrain -publish); enables /v1/models list/swap/publish")
-		modelName    = flag.String("model-name", "taste", "registry model name to serve and publish under")
-		modelVersion = flag.Int("model-version", 0, "registry version to serve at boot (0 = latest; requires -registry)")
-		train        = flag.Bool("train", false, "train a fresh model at startup instead of loading a checkpoint")
-		tables       = flag.Int("tables", 200, "corpus size backing the vocabulary/type space (must match the checkpoint)")
-		seed         = flag.Int64("seed", 1, "corpus seed (must match the checkpoint)")
-		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
-		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
-		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
+		addr          = flag.String("addr", ":8080", "listen address")
+		debugAddr     = flag.String("debug-addr", "", "observability listener serving /metrics and /debug/pprof (empty disables)")
+		checkpoint    = flag.String("checkpoint", "", "ADTD checkpoint from tastetrain (matching -tables/-seed)")
+		registryDir   = flag.String("registry", "", "model-registry journal directory (from tastetrain -publish); enables /v1/models list/swap/publish")
+		modelName     = flag.String("model-name", "taste", "registry model name to serve and publish under")
+		modelVersion  = flag.Int("model-version", 0, "registry version to serve at boot (0 = latest; requires -registry)")
+		train         = flag.Bool("train", false, "train a fresh model at startup instead of loading a checkpoint")
+		tables        = flag.Int("tables", 200, "corpus size backing the vocabulary/type space (must match the checkpoint)")
+		seed          = flag.Int64("seed", 1, "corpus seed (must match the checkpoint)")
+		epochs        = flag.Int("epochs", 8, "training epochs when -train is set")
+		trainWorkers  = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
+		gradAccum     = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
 		prepWorkers   = flag.Int("prep-workers", autoMode.PrepWorkers, "legacy TP1 pool size; with -infer-workers it derives the work-stealing pool when -pipeline-workers is 0")
 		inferWorkers  = flag.Int("infer-workers", autoMode.InferWorkers, "legacy TP2 pool size; see -prep-workers")
 		pipeWorkers   = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = derive from -prep-workers + -infer-workers)")
 		scanLookahead = flag.Int("scan-lookahead", 0, "scan-prefetch window: metadata/content reads issued ahead of their stages (0 = 2×workers, negative disables)")
-		batchChunks   = flag.Int("batch-chunks", 0, "max table chunks coalesced into one cross-table Phase-2 forward within a request (0 = 8, negative disables)")
-		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
-		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "how long Phase-2 inference waits to coalesce chunks from concurrent requests (0 disables micro-batching)")
-		maxBatch     = flag.Int("max-batch", 8, "max table chunks per coalesced Phase-2 model forward")
-		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
-		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
-		quantize     = flag.Bool("quantize", false, "default /v1/detect requests to int8 quantized inference (lossy; requests can override via \"quantize\"; no-op without AVX2)")
-		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "latent-cache byte budget (0 disables the metadata-latent tier)")
-		resultCache  = flag.Int64("result-cache", 16<<20, "result-cache byte budget memoizing per-column detect outputs (0 disables; invalidated on any weight update)")
+		parallelism   = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
+		deadline      = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
+		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long Phase-2 inference waits to coalesce chunks from concurrent requests (0 disables micro-batching)")
+		maxBatch      = flag.Int("max-batch", 8, "max table chunks per coalesced Phase-2 model forward")
+		faultProb     = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
+		faultSeed     = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
+		quantize      = flag.Bool("quantize", false, "default /v1/detect requests to int8 quantized inference (lossy; requests can override via \"quantize\"; no-op without AVX2)")
+		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "latent-cache byte budget (0 disables the metadata-latent tier)")
+		resultCache   = flag.Int64("result-cache", 16<<20, "result-cache byte budget memoizing per-column detect outputs (0 disables; invalidated on any weight update)")
 	)
 	flag.Parse()
 	tensor.SetParallelism(*parallelism)
@@ -158,7 +157,7 @@ func main() {
 		Pipelined:   true,
 		Workers:     *pipeWorkers,
 		PrepWorkers: *prepWorkers, InferWorkers: *inferWorkers,
-		Lookahead: *scanLookahead, BatchChunks: *batchChunks,
+		Lookahead: *scanLookahead,
 	})
 	svc.SetDefaultDeadline(*deadline)
 	if *batchWindow > 0 {

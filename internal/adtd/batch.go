@@ -1,7 +1,6 @@
 package adtd
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/metafeat"
@@ -18,11 +17,13 @@ type ContentRequest struct {
 }
 
 // PredictContentBatch runs the content tower over several chunks' requests
-// in one forward pass. The chunks' content sequences are concatenated and a
-// block-diagonal attention mask keeps every chunk's attention confined to
-// its own metadata and (per §6.4) its own column's content, so each row of
-// the result equals the corresponding unbatched PredictContent output; the
-// batching only amortizes the per-kernel dispatch and classifier overhead.
+// in one forward pass. The chunks are packed into one sequence batch: the
+// linear and feed-forward layers run over every chunk's rows at once, while
+// each chunk's attention runs over its own metadata and content only (see
+// encodeContentWS). Every row of the result therefore equals the
+// corresponding unbatched PredictContent output byte for byte, whatever
+// else shares the batch; batching only amortizes per-kernel dispatch and
+// classifier overhead.
 //
 // The batch's autograd graph — including any *fresh* metadata encodings the
 // requests reference — is released into the tensor arena before returning.
@@ -51,78 +52,17 @@ func (m *Model) PredictContentBatchQ(reqs []ContentRequest, n int, quantize *boo
 	if m.evalFast() && batchNoGrad(reqs) {
 		return m.predictContentBatchFast(reqs, n, quantize)
 	}
-
-	cins := make([]*ContentInput, len(reqs))
-	embeds := make([]*tensor.Tensor, len(reqs))
-	for r, req := range reqs {
-		cin := m.enc.BuildContentInput(req.Table, req.Cols, n)
-		segs := make([]int, len(cin.IDs))
-		for i := range segs {
-			segs[i] = 2
-		}
-		cins[r] = cin
-		// Positions restart per chunk, exactly as in the unbatched path.
-		embeds[r] = m.embed(cin.IDs, segs)
-	}
-	content := embeds[0]
-	if len(embeds) > 1 {
-		content = tensor.ConcatRows(embeds...)
-	}
-
-	metaLens := make([]int, len(reqs))
-	for r, req := range reqs {
-		metaLens[r] = req.Menc.In.Len()
-	}
-
-	if m.Cfg.SymmetricContent {
-		mask := batchSymmetricMask(cins)
-		for _, b := range m.Blocks {
-			content = b.SelfForward(content, mask)
-		}
-	} else {
-		mask := batchContentMask(metaLens, cins)
-		for li, b := range m.Blocks {
-			kv := make([]*tensor.Tensor, 0, len(reqs)+1)
-			for _, req := range reqs {
-				kv = append(kv, req.Menc.Layers[li])
-			}
-			kv = append(kv, content)
-			content = b.Forward(content, tensor.ConcatRows(kv...), mask)
-		}
-	}
-
-	// Classifier features for every requested column across the batch, then
-	// one classifier forward for the whole batch.
-	features := make([]*tensor.Tensor, len(reqs))
-	off := 0
-	for r, req := range reqs {
-		cin := cins[r]
-		chunk := tensor.SliceRows(content, off, off+cin.Len())
-		off += cin.Len()
-		contentPooled := poolSpans(chunk, cin.ColSpans)
-		metaSpans := make([][2]int, len(cin.Columns))
-		nonTextual := make([][]float64, len(cin.Columns))
-		for slot, ci := range cin.Columns {
-			metaSpans[slot] = req.Menc.In.ColSpans[ci]
-			nonTextual[slot] = req.Menc.In.NonTextual[ci]
-		}
-		metaPooled := poolSpans(req.Menc.Final(), metaSpans)
-		features[r] = tensor.ConcatCols(contentPooled, metaPooled, tensor.FromRows(nonTextual))
-	}
-	stacked := features[0]
-	if len(features) > 1 {
-		stacked = tensor.ConcatRows(features...)
-	}
-	logits := m.ContCls.Forward(stacked)
-	all := Sigmoid(logits)
-	tensor.ReleaseGraph(logits)
-
+	// Composed path, one chunk at a time. Graphs are released only once
+	// every chunk has run, because requests may share a fresh encoding.
 	out := make([][][]float64, len(reqs))
-	row := 0
-	for r := range reqs {
-		nc := len(cins[r].Columns)
-		out[r] = all[row : row+nc]
-		row += nc
+	logits := make([]*tensor.Tensor, len(reqs))
+	for r, req := range reqs {
+		in := m.enc.BuildContentInput(req.Table, req.Cols, n)
+		logits[r] = m.ContentLogits(req.Menc, in, m.EncodeContent(req.Menc, in))
+		out[r] = Sigmoid(logits[r])
+	}
+	for _, l := range logits {
+		tensor.ReleaseGraph(l)
 	}
 	return out
 }
@@ -136,91 +76,4 @@ func batchNoGrad(reqs []ContentRequest) bool {
 		}
 	}
 	return true
-}
-
-// batchContentMask builds the additive mask for the concatenated batch:
-// rows are the batch's content positions, key columns are every request's
-// metadata block (in request order) followed by the concatenated content.
-// A content position sees its own chunk's metadata and the content of its
-// own column; everything else is -Inf. With a single single-column request
-// the mask is nil, matching the unbatched fast path.
-func batchContentMask(metaLens []int, cins []*ContentInput) *tensor.Tensor {
-	totalMeta, totalContent := 0, 0
-	for _, l := range metaLens {
-		totalMeta += l
-	}
-	for _, cin := range cins {
-		totalContent += cin.Len()
-	}
-	if len(cins) == 1 {
-		multi := false
-		for _, c := range cins[0].ColOf {
-			if c != cins[0].ColOf[0] {
-				multi = true
-				break
-			}
-		}
-		if !multi {
-			return nil
-		}
-	}
-	mask := tensor.New(totalContent, totalMeta+totalContent)
-	mask.Fill(math.Inf(-1))
-	metaOff, contOff := 0, 0
-	for r, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(contOff + i)
-			// Own chunk's metadata block.
-			for j := metaOff; j < metaOff+metaLens[r]; j++ {
-				row[j] = 0
-			}
-			// Own column's content positions within the chunk.
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					row[totalMeta+contOff+j] = 0
-				}
-			}
-		}
-		metaOff += metaLens[r]
-		contOff += lc
-	}
-	return mask
-}
-
-// batchSymmetricMask is the content-only analogue for the SymmetricContent
-// ablation: same column of the same chunk only.
-func batchSymmetricMask(cins []*ContentInput) *tensor.Tensor {
-	total := 0
-	for _, cin := range cins {
-		total += cin.Len()
-	}
-	if len(cins) == 1 {
-		multi := false
-		for _, c := range cins[0].ColOf {
-			if c != cins[0].ColOf[0] {
-				multi = true
-				break
-			}
-		}
-		if !multi {
-			return nil
-		}
-	}
-	mask := tensor.New(total, total)
-	mask.Fill(math.Inf(-1))
-	off := 0
-	for _, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(off + i)
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					row[off+j] = 0
-				}
-			}
-		}
-		off += lc
-	}
-	return mask
 }

@@ -2,14 +2,17 @@ package adtd
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/metafeat"
+	"repro/internal/tensor"
 )
 
 // TestPredictContentBatchMatchesUnbatched verifies the batched Phase-2 path
-// against per-chunk PredictContent: the block-diagonal mask must isolate the
-// chunks so every probability row matches its unbatched counterpart.
+// against per-chunk PredictContent: packing must isolate the chunks so
+// every probability row matches its unbatched counterpart.
 func TestPredictContentBatchMatchesUnbatched(t *testing.T) {
 	m, ds := tinyModel(t)
 	const cells = 3
@@ -111,5 +114,64 @@ func TestPredictContentBatchReleasesFreshEncodings(t *testing.T) {
 	out := m.PredictContentBatch([]ContentRequest{{Menc: cached, Table: info, Cols: []int{0}}}, 3)
 	if len(out) != 1 || len(out[0]) != 1 {
 		t.Fatal("cached encoding unusable after release of the original")
+	}
+}
+
+// TestPredictContentBatchRowsIndependentOfBatchMates pins the batching
+// contract the serving batchers rely on: a chunk's probability rows are the
+// same bytes whether it is classified alone or inside a batch with any other
+// chunks — in fp64 and int8, with and without SymmetricContent. Each chunk
+// runs alone once, then inside random 1–6 chunk batches.
+func TestPredictContentBatchRowsIndependentOfBatchMates(t *testing.T) {
+	m, ds := tinyModel(t)
+	defer func() { m.Cfg.SymmetricContent = false }()
+	const cells = 3
+	var chunks []ContentRequest
+	for _, tb := range append(append([]*corpus.Table(nil), ds.Test...), ds.Train...) {
+		if len(chunks) == 8 {
+			break
+		}
+		info := metafeat.FromCorpusTable(tb, false, 0)
+		cols := []int{0}
+		for c := 1; c < len(info.Columns) && c < 1+len(chunks)%4; c++ {
+			cols = append(cols, c)
+		}
+		menc := m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false))
+		// Detached copies survive the batch calls, like cached encodings do.
+		chunks = append(chunks, ContentRequest{Menc: menc.CloneDetach(), Table: info, Cols: cols})
+		menc.Release()
+	}
+	quantModes := []bool{false}
+	if tensor.QuantizeAvailable() {
+		quantModes = append(quantModes, true)
+	}
+	for _, quant := range quantModes {
+		for _, symmetric := range []bool{false, true} {
+			m.Cfg.SymmetricContent = symmetric
+			alone := make([][][]float64, len(chunks))
+			for i, c := range chunks {
+				alone[i] = m.PredictContentBatchQ([]ContentRequest{c}, cells, &quant)[0]
+			}
+			rng := rand.New(rand.NewSource(11))
+			for trial := 0; trial < 12; trial++ {
+				picks := make([]int, 1+rng.Intn(6))
+				reqs := make([]ContentRequest, len(picks))
+				for k := range picks {
+					picks[k] = rng.Intn(len(chunks))
+					reqs[k] = chunks[picks[k]]
+				}
+				got := m.PredictContentBatchQ(reqs, cells, &quant)
+				for k, i := range picks {
+					for c := range alone[i] {
+						for s := range alone[i][c] {
+							if math.Float64bits(got[k][c][s]) != math.Float64bits(alone[i][c][s]) {
+								t.Fatalf("quant=%v symmetric=%v batch %v: chunk %d col %d type %d: batched %v, alone %v",
+									quant, symmetric, picks, i, c, s, got[k][c][s], alone[i][c][s])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -33,24 +34,38 @@ func (m *Model) invalidatePacks() {
 }
 
 // evalFast reports whether the model-level fused inference path may be
-// selected: the global toggle is on and the tensors the fused pooling and
-// classifier stages touch are frozen. Per-block eligibility is re-checked by
-// the nn layer (mixed freezing falls back per block).
+// selected: the global toggle is on and every tensor the fused embedding,
+// tower and classifier stages touch is frozen.
 func (m *Model) evalFast() bool {
-	return tensor.FastPathEnabled() && tensor.NoGrad(
+	if !tensor.FastPathEnabled() || !tensor.NoGrad(
 		m.TokEmbed.Table, m.PosEmbed.Table, m.SegEmbed.Table,
 		m.MetaCls.Hidden.W, m.MetaCls.Hidden.B, m.MetaCls.Out.W, m.MetaCls.Out.B,
-		m.ContCls.Hidden.W, m.ContCls.Hidden.B, m.ContCls.Out.W, m.ContCls.Out.B)
+		m.ContCls.Hidden.W, m.ContCls.Hidden.B, m.ContCls.Out.W, m.ContCls.Out.B) {
+		return false
+	}
+	for _, b := range m.Blocks {
+		if !b.InferenceReady() {
+			return false
+		}
+	}
+	return true
 }
 
 // embedFast is embed() in one pass: token+position+segment rows summed
 // directly into an arena tensor, with no per-table gather tensors and no
 // position-id slice. segments may be nil, in which case constSeg is used for
-// every position (the content tower's constant segment 2). Each element is
-// (tok + pos) + seg, the same left-associative order as Add(Add(...)).
+// every position (the content tower's constant segment 2).
 func (m *Model) embedFast(ids, segments []int, constSeg int) *tensor.Tensor {
+	out := tensor.InferenceResult(len(ids), m.Cfg.Hidden, m.TokEmbed.Table, m.PosEmbed.Table, m.SegEmbed.Table)
+	m.embedInto(out.Data, ids, segments, constSeg)
+	return out
+}
+
+// embedInto writes the embedding rows of ids into dst (len(ids) × Hidden).
+// Positions count from 0 within ids. Each element is (tok + pos) + seg, the
+// same left-associative order as Add(Add(...)).
+func (m *Model) embedInto(dst []float64, ids, segments []int, constSeg int) {
 	h := m.Cfg.Hidden
-	out := tensor.InferenceResult(len(ids), h, m.TokEmbed.Table, m.PosEmbed.Table, m.SegEmbed.Table)
 	tok := m.TokEmbed.Table.Data
 	pos := m.PosEmbed.Table.Data
 	seg := m.SegEmbed.Table.Data
@@ -67,12 +82,11 @@ func (m *Model) embedFast(ids, segments []int, constSeg int) *tensor.Tensor {
 		trow := tok[id*h : (id+1)*h]
 		prow := pos[p*h : (p+1)*h]
 		srow := seg[s*h : (s+1)*h]
-		drow := out.Data[i*h : (i+1)*h]
+		drow := dst[i*h : (i+1)*h]
 		for j := range drow {
 			drow[j] = trow[j] + prow[j] + srow[j]
 		}
 	}
-	return out
 }
 
 // encodeMetadataWS is EncodeMetadata threading one warm workspace through
@@ -105,26 +119,53 @@ func (m *Model) metaLogitsWS(ws *tensor.Workspace, enc *MetaEncoding) *tensor.Te
 	return m.MetaCls.ForwardWS(ws, x, final)
 }
 
-// encodeContentWS is EncodeContent threading one workspace: fused embedding,
-// workspace-assembled [metadata ⊕ content] keys/values per layer, and masks
-// living in scratch instead of the heap.
-func (m *Model) encodeContentWS(ws *tensor.Workspace, menc *MetaEncoding, in *ContentInput) *tensor.Tensor {
-	if len(menc.Layers) != m.Cfg.Layers+1 {
-		panic(fmt.Sprintf("adtd: metadata encoding has %d layers, model wants %d", len(menc.Layers)-1, m.Cfg.Layers))
+// encodeContentWS is EncodeContent over a packed batch of chunks, threading
+// one workspace. The chunks' content rows are packed as queries
+// [content_1 ⊕ content_2 …] and, per layer, the keys/values as
+// [meta_1 ⊕ content_1 ⊕ meta_2 ⊕ content_2 …] (the content rows alone under
+// SymmetricContent). The projections and feed-forward run over the whole
+// pack, while each chunk's attention core sees only its own segment under
+// its single-chunk mask — the same computation as a batch of one, so a
+// chunk's rows never depend on its batch-mates, in fp64 or int8.
+func (m *Model) encodeContentWS(ws *tensor.Workspace, mencs []*MetaEncoding, cins []*ContentInput) *tensor.Tensor {
+	h := m.Cfg.Hidden
+	segs := make([]nn.Segment, len(cins))
+	lq, lkv := 0, 0
+	for r, cin := range cins {
+		if len(mencs[r].Layers) != m.Cfg.Layers+1 {
+			panic(fmt.Sprintf("adtd: metadata encoding has %d layers, model wants %d", len(mencs[r].Layers)-1, m.Cfg.Layers))
+		}
+		lc, lm := cin.Len(), 0
+		if !m.Cfg.SymmetricContent {
+			lm = mencs[r].In.Len()
+		}
+		segs[r] = nn.Segment{Q0: lq, Lq: lc, K0: lkv, Lkv: lm + lc, Mask: contentMaskWS(ws, lm, cin)}
+		lq += lc
+		lkv += lm + lc
 	}
-	content := m.embedFast(in.IDs, nil, 2)
+	// Positions restart per chunk, exactly as in a batch of one.
+	content := tensor.InferenceResult(lq, h, m.TokEmbed.Table, m.PosEmbed.Table, m.SegEmbed.Table)
+	for r, cin := range cins {
+		m.embedInto(content.Data[segs[r].Q0*h:], cin.IDs, nil, 2)
+	}
 	if m.Cfg.SymmetricContent {
-		mask := batchSymmetricMaskWS(ws, []*ContentInput{in})
 		for _, b := range m.Blocks {
-			content = b.ForwardWS(ws, content, content, mask)
+			content = b.ForwardPackedWS(ws, content, content.Data, lq, segs, content)
 		}
 		return content
 	}
-	mask := batchContentMaskWS(ws, []int{menc.In.Len()}, []*ContentInput{in})
-	parts := make([]*tensor.Tensor, 2)
-	for i, b := range m.Blocks {
-		parts[0], parts[1] = menc.Layers[i], content
-		content = b.ForwardKVConcatWS(ws, content, parts, mask)
+	kv := ws.Take(lkv * h)
+	for li, b := range m.Blocks {
+		// A fresh parents slice per layer: the block output keeps it.
+		parents := make([]*tensor.Tensor, 0, len(mencs)+1)
+		parents = append(parents, content)
+		for r, s := range segs {
+			meta := mencs[r].Layers[li]
+			copy(kv[s.K0*h:], meta.Data)
+			copy(kv[s.K0*h+len(meta.Data):], content.Data[s.Q0*h:(s.Q0+s.Lq)*h])
+			parents = append(parents, meta)
+		}
+		content = b.ForwardPackedWS(ws, content, kv, lkv, segs, parents...)
 	}
 	return content
 }
@@ -148,75 +189,36 @@ func (m *Model) contentLogitsWS(ws *tensor.Workspace, x *tensor.Tensor, rowBase 
 }
 
 // predictContentBatchFast is the fused PredictContentBatch: one workspace
-// for the whole batch, scratch-resident masks and classifier features, and
-// the same release contract as the composed path (fresh metadata encodings
-// reachable from the logits' parents are recycled; cached graph-free entries
-// are leaves and survive). quantize, when non-nil, overrides the process-wide
-// quantization default for this batch.
+// and one packed tower forward for the whole batch, scratch-resident masks
+// and classifier features, and the same release contract as the composed
+// path (fresh metadata encodings reachable from the logits' parents are
+// recycled; cached graph-free entries are leaves and survive). quantize,
+// when non-nil, overrides the process-wide quantization default for this
+// batch.
 func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int, quantize *bool) [][][]float64 {
 	ws := tensor.AcquireWorkspace()
 	if quantize != nil {
 		ws.Quantize = *quantize
 	}
 	observeQuantized(ws, quantContentForwardsTotal)
-	h := m.Cfg.Hidden
-
 	cins := make([]*ContentInput, len(reqs))
-	embeds := make([]*tensor.Tensor, len(reqs))
-	total := 0
-	for r, req := range reqs {
-		cin := m.enc.BuildContentInput(req.Table, req.Cols, n)
-		cins[r] = cin
-		embeds[r] = m.embedFast(cin.IDs, nil, 2)
-		total += cin.Len()
-	}
-	content := embeds[0]
-	if len(embeds) > 1 {
-		// ConcatRows without the zeroed allocation; the embeds stay parents
-		// so the final release reaches them.
-		content = tensor.InferenceResult(total, h, embeds...)
-		off := 0
-		for _, e := range embeds {
-			copy(content.Data[off:off+len(e.Data)], e.Data)
-			off += len(e.Data)
-		}
-	}
-
-	if m.Cfg.SymmetricContent {
-		mask := batchSymmetricMaskWS(ws, cins)
-		for _, b := range m.Blocks {
-			content = b.ForwardWS(ws, content, content, mask)
-		}
-	} else {
-		metaLens := make([]int, len(reqs))
-		for r, req := range reqs {
-			metaLens[r] = req.Menc.In.Len()
-		}
-		mask := batchContentMaskWS(ws, metaLens, cins)
-		parts := make([]*tensor.Tensor, len(reqs)+1)
-		for li, b := range m.Blocks {
-			for r, req := range reqs {
-				parts[r] = req.Menc.Layers[li]
-			}
-			parts[len(reqs)] = content
-			content = b.ForwardKVConcatWS(ws, content, parts, mask)
-		}
-	}
-
+	mencs := make([]*MetaEncoding, len(reqs))
 	totalCols := 0
-	for _, cin := range cins {
-		totalCols += len(cin.Columns)
+	for r, req := range reqs {
+		cins[r] = m.enc.BuildContentInput(req.Table, req.Cols, n)
+		mencs[r] = req.Menc
+		totalCols += len(cins[r].Columns)
 	}
+	content := m.encodeContentWS(ws, mencs, cins)
+
 	x := ws.Matrix(totalCols, m.ContCls.Hidden.In())
+	parents := make([]*tensor.Tensor, 0, len(reqs)+1)
+	parents = append(parents, content)
 	rowBase, off := 0, 0
 	for r, req := range reqs {
 		m.contentLogitsWS(ws, x, rowBase, req.Menc, cins[r], content, off)
 		rowBase += len(cins[r].Columns)
 		off += cins[r].Len()
-	}
-	parents := make([]*tensor.Tensor, 0, len(reqs)+1)
-	parents = append(parents, content)
-	for _, req := range reqs {
 		parents = append(parents, req.Menc.Final())
 	}
 	logits := m.ContCls.ForwardWS(ws, x, parents...)
@@ -234,89 +236,35 @@ func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int, quantize *
 	return out
 }
 
-// batchContentMaskWS is batchContentMask built in workspace scratch: every
-// element is written exactly once (allowed positions 0, everything else
-// -Inf), so the uncleared buffer needs no separate fill pass. Returns nil in
-// the same single-single-column case as the heap builder.
-func batchContentMaskWS(ws *tensor.Workspace, metaLens []int, cins []*ContentInput) *tensor.Tensor {
-	totalMeta, totalContent := 0, 0
-	for _, l := range metaLens {
-		totalMeta += l
-	}
-	for _, cin := range cins {
-		totalContent += cin.Len()
-	}
-	if len(cins) == 1 && singleColumn(cins[0]) {
+// contentMaskWS is contentMask built in workspace scratch.
+func contentMaskWS(ws *tensor.Workspace, lm int, cin *ContentInput) *tensor.Tensor {
+	if singleColumn(cin) {
 		return nil
 	}
-	mask := ws.Matrix(totalContent, totalMeta+totalContent)
-	neg := math.Inf(-1)
-	metaOff, contOff := 0, 0
-	for r, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(contOff + i)
-			for j := 0; j < metaOff; j++ {
-				row[j] = neg
-			}
-			for j := metaOff; j < metaOff+metaLens[r]; j++ {
-				row[j] = 0
-			}
-			for j := metaOff + metaLens[r]; j < totalMeta; j++ {
-				row[j] = neg
-			}
-			crow := row[totalMeta:]
-			for j := 0; j < contOff; j++ {
-				crow[j] = neg
-			}
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					crow[contOff+j] = 0
-				} else {
-					crow[contOff+j] = neg
-				}
-			}
-			for j := contOff + lc; j < totalContent; j++ {
-				crow[j] = neg
-			}
-		}
-		metaOff += metaLens[r]
-		contOff += lc
-	}
-	return mask
+	return fillContentMask(ws.Matrix(cin.Len(), lm+cin.Len()), lm, cin)
 }
 
-// batchSymmetricMaskWS is the scratch-resident batchSymmetricMask.
-func batchSymmetricMaskWS(ws *tensor.Workspace, cins []*ContentInput) *tensor.Tensor {
-	total := 0
-	for _, cin := range cins {
-		total += cin.Len()
-	}
-	if len(cins) == 1 && singleColumn(cins[0]) {
-		return nil
-	}
-	mask := ws.Matrix(total, total)
+// fillContentMask writes one chunk's additive attention mask into mask
+// (lc × (lm+lc)): lc content rows over lm metadata keys (all allowed)
+// followed by the chunk's lc content keys, of which a position sees only
+// its own column's (§6.4). Every element is written, so mask may start
+// uncleared.
+func fillContentMask(mask *tensor.Tensor, lm int, cin *ContentInput) *tensor.Tensor {
+	lc := cin.Len()
 	neg := math.Inf(-1)
-	off := 0
-	for _, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(off + i)
-			for j := 0; j < off; j++ {
-				row[j] = neg
-			}
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					row[off+j] = 0
-				} else {
-					row[off+j] = neg
-				}
-			}
-			for j := off + lc; j < total; j++ {
-				row[j] = neg
+	for i := 0; i < lc; i++ {
+		row := mask.Row(i)
+		for j := 0; j < lm; j++ {
+			row[j] = 0
+		}
+		crow := row[lm:]
+		for j := 0; j < lc; j++ {
+			if cin.ColOf[j] == cin.ColOf[i] {
+				crow[j] = 0
+			} else {
+				crow[j] = neg
 			}
 		}
-		off += lc
 	}
 	return mask
 }

@@ -290,7 +290,7 @@ func (m *Model) EncodeContent(menc *MetaEncoding, in *ContentInput) *tensor.Tens
 	}
 	if m.evalFast() && tensor.NoGrad(menc.Layers...) {
 		ws := tensor.AcquireWorkspace()
-		out := m.encodeContentWS(ws, menc, in)
+		out := m.encodeContentWS(ws, []*MetaEncoding{menc}, []*ContentInput{in})
 		tensor.ReleaseWorkspace(ws)
 		return out
 	}
@@ -301,7 +301,7 @@ func (m *Model) EncodeContent(menc *MetaEncoding, in *ContentInput) *tensor.Tens
 	content := m.embed(in.IDs, segs)
 	if m.Cfg.SymmetricContent {
 		// Ablation: plain self-attention over content, no metadata K/V.
-		mask := m.symmetricMask(in)
+		mask := m.contentMask(0, in)
 		for _, b := range m.Blocks {
 			content = b.SelfForward(content, mask)
 		}
@@ -315,59 +315,15 @@ func (m *Model) EncodeContent(menc *MetaEncoding, in *ContentInput) *tensor.Tens
 	return content
 }
 
-// symmetricMask is the content-only per-column mask used by the
-// SymmetricContent ablation.
-func (m *Model) symmetricMask(in *ContentInput) *tensor.Tensor {
-	lc := in.Len()
-	multi := false
-	for _, c := range in.ColOf {
-		if c != in.ColOf[0] {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		return nil
-	}
-	mask := tensor.New(lc, lc)
-	neg := math.Inf(-1)
-	for i := 0; i < lc; i++ {
-		row := mask.Row(i)
-		for j := 0; j < lc; j++ {
-			if in.ColOf[j] != in.ColOf[i] {
-				row[j] = neg
-			}
-		}
-	}
-	return mask
-}
-
 // contentMask builds the Lc × (Lm+Lc) additive mask: zeros over metadata,
-// zeros within the same column's content, -Inf across columns.
+// zeros within the same column's content, -Inf across columns. lm = 0 is the
+// content-only mask of the SymmetricContent ablation. Single-column chunks
+// need no mask (nil): everything may attend everywhere.
 func (m *Model) contentMask(lm int, in *ContentInput) *tensor.Tensor {
-	lc := in.Len()
-	// Single-column chunks need no mask: everything may attend everywhere.
-	multi := false
-	for _, c := range in.ColOf {
-		if c != in.ColOf[0] {
-			multi = true
-			break
-		}
-	}
-	if !multi {
+	if singleColumn(in) {
 		return nil
 	}
-	mask := tensor.New(lc, lm+lc)
-	neg := math.Inf(-1)
-	for i := 0; i < lc; i++ {
-		row := mask.Row(i)
-		for j := 0; j < lc; j++ {
-			if in.ColOf[j] != in.ColOf[i] {
-				row[lm+j] = neg
-			}
-		}
-	}
-	return mask
+	return fillContentMask(tensor.New(in.Len(), lm+in.Len()), lm, in)
 }
 
 // ContentLogits applies the content classifier f₂ (§4.3) to the selected
@@ -444,7 +400,7 @@ func (m *Model) PredictContent(menc *MetaEncoding, t *metafeat.TableInfo, cols [
 	in := m.enc.BuildContentInput(t, cols, n)
 	if m.evalFast() && tensor.NoGrad(menc.Layers...) {
 		ws := tensor.AcquireWorkspace()
-		content := m.encodeContentWS(ws, menc, in)
+		content := m.encodeContentWS(ws, []*MetaEncoding{menc}, []*ContentInput{in})
 		x := ws.Matrix(len(in.Columns), m.ContCls.Hidden.In())
 		m.contentLogitsWS(ws, x, 0, menc, in, content, 0)
 		probs := Sigmoid(m.ContCls.ForwardWS(ws, x, content, menc.Final()))

@@ -388,9 +388,8 @@ type Report struct {
 	CacheHits   int
 	CacheMisses int
 	// ContentForwards counts the Phase-2 content batches this request sent
-	// to the model — each one padded batched forward in direct mode, or one
-	// submission to the cross-request inferencer. Cross-table batching
-	// exists to shrink this number (DESIGN.md §16).
+	// to the model: one per table with columns left for Phase 2, run as a
+	// direct forward or submitted to the cross-request inferencer.
 	ContentForwards int
 	// PrefetchHits/PrefetchWasted/PrefetchSkipped summarize the scan
 	// prefetcher: consumed reads, reads completed for nothing, and reads
@@ -461,11 +460,6 @@ type ExecMode struct {
 	// defaults to a quarter of Options.CacheBytes (floor 1 MiB); negative
 	// removes the byte brake, leaving only the Lookahead window.
 	PrefetchBytes int64
-	// BatchChunks caps the table chunks coalesced into one cross-table
-	// Phase-2 forward within a single DetectDatabase call. 0 defaults to
-	// 8 (matching the serving micro-batcher); 1 or negative disables
-	// cross-table batching so every table issues its own forward.
-	BatchChunks int
 }
 
 // SequentialMode is the execution mode of the baselines and of "Taste w/o
@@ -481,8 +475,8 @@ func PipelinedMode() ExecMode {
 // AutoMode sizes the work-stealing pool from the machine instead of the
 // paper's fixed 2+2: one worker per logical CPU (floor 4, so a small host
 // still overlaps I/O with compute). The legacy per-kind fields are filled
-// in for callers that still display or override them; lookahead and batch
-// knobs stay 0 and resolve to their defaults per the struct contract.
+// in for callers that still display or override them; the lookahead knobs
+// stay 0 and resolve to their defaults per the struct contract.
 func AutoMode() ExecMode {
 	w := runtime.GOMAXPROCS(0)
 	if w < 4 {
@@ -492,10 +486,9 @@ func AutoMode() ExecMode {
 }
 
 // withDefaults resolves the mode's zero values against the detector
-// options, returning a fully concrete mode: Workers ≥ 1, Lookahead and
-// BatchChunks either positive or explicitly disabled (negative input maps
-// to the disabled sentinel 0 for Lookahead / 1 for BatchChunks). Sequential
-// modes pass through untouched.
+// options, returning a fully concrete mode: Workers ≥ 1, Lookahead either
+// positive or explicitly disabled (negative input maps to the disabled
+// sentinel 0). Sequential modes pass through untouched.
 func (m ExecMode) withDefaults(opts Options) ExecMode {
 	if !m.Pipelined {
 		return m
@@ -517,12 +510,6 @@ func (m ExecMode) withDefaults(opts Options) ExecMode {
 		if m.PrefetchBytes < 1<<20 {
 			m.PrefetchBytes = 1 << 20
 		}
-	}
-	switch {
-	case m.BatchChunks < 0:
-		m.BatchChunks = 1
-	case m.BatchChunks == 0:
-		m.BatchChunks = 8
 	}
 	return m
 }
@@ -560,11 +547,8 @@ type tableJob struct {
 	dbName string
 	table  string
 	// pf, when set, serves this job's storage reads from the batch's scan
-	// prefetcher; rb, when set, routes s4's chunks through the batch's
-	// cross-table coalescer; fwd, when set, counts content forwards issued
-	// on the direct (uncoalesced) path.
+	// prefetcher; fwd, when set, counts the job's content forwards.
 	pf      *prefetcher
-	rb      *requestBatcher
 	fwd     *atomic.Int64
 	info    *metafeat.TableInfo
 	chunks  []*metafeat.TableInfo
@@ -979,30 +963,17 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		}
 		return nil
 	}
+	if j.fwd != nil {
+		j.fwd.Add(1)
+	}
 	var batch [][][]float64
-	switch {
-	case j.rb != nil:
-		// Cross-table coalescing: the chunks merge with other tables' into
-		// padded batched forwards (which themselves go through the
-		// cross-request inferencer when one is installed).
-		var err error
-		batch, err = j.rb.submit(ctx, j.model, reqs)
-		if err != nil {
-			return inferFailed(err)
-		}
-	case hasInferencer:
-		if j.fwd != nil {
-			j.fwd.Add(1)
-		}
+	if hasInferencer {
 		var err error
 		batch, err = ci.InferContentBatch(ctx, j.model, reqs, opts.CellsPerColumn)
 		if err != nil {
 			return inferFailed(err)
 		}
-	default:
-		if j.fwd != nil {
-			j.fwd.Add(1)
-		}
+	} else {
 		batch = j.model.PredictContentBatchQ(reqs, opts.CellsPerColumn, quantPref(ctx))
 	}
 	for r, globals := range globalsPerReq {
@@ -1128,24 +1099,14 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 	mode = mode.withDefaults(d.Opts)
 	var fwd atomic.Int64
 	var pf *prefetcher
-	var rb *requestBatcher
-	if mode.Pipelined {
-		if mode.Lookahead > 0 {
-			pf = newPrefetcher(ctx, d, conn, tables, mode.Lookahead, mode.PrefetchBytes)
-		}
-		if mode.BatchChunks > 1 {
-			rb = newRequestBatcher(d, mode.BatchChunks, mode.Workers, len(tables), &fwd)
-		}
+	if mode.Pipelined && mode.Lookahead > 0 {
+		pf = newPrefetcher(ctx, d, conn, tables, mode.Lookahead, mode.PrefetchBytes)
 	}
 	jobs := make([]*pipeline.Job, len(tables))
 	tjobs := make([]*tableJob, len(tables))
 	for i, t := range tables {
-		tjobs[i] = &tableJob{d: d, model: model, conn: conn, dbName: dbName, table: t, pf: pf, rb: rb, fwd: &fwd}
-		stages := tjobs[i].stages()
-		if rb != nil {
-			stages = rb.wrapStages(stages)
-		}
-		jobs[i] = &pipeline.Job{ID: t, Stages: stages}
+		tjobs[i] = &tableJob{d: d, model: model, conn: conn, dbName: dbName, table: t, pf: pf, fwd: &fwd}
+		jobs[i] = &pipeline.Job{ID: t, Stages: tjobs[i].stages()}
 	}
 	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
 	stats, err := sched.RunStats(ctx, jobs)

@@ -110,8 +110,7 @@ func GitTablesProfile(tables int) Profile {
 // many narrow tables (see PAPERS.md): exactly 3 columns per table, with
 // WikiTable-like ambiguity so a steady fraction of columns reaches Phase 2.
 // This is the workload shape where per-table dispatch overhead and
-// unbatched Phase-2 forwards dominate — the case cross-table inference
-// batching (DESIGN.md §16) exists for.
+// per-table Phase-2 forwards dominate (DESIGN.md §16).
 func SmallTablesProfile(tables int) Profile {
 	return Profile{
 		Name:             "smalltables",

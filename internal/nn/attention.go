@@ -55,7 +55,7 @@ func (a *MultiHeadAttention) Forward(q, kv *tensor.Tensor, mask *tensor.Tensor) 
 	if a.fastEligible(q, kv, mask) {
 		ws := tensor.AcquireWorkspace()
 		out := tensor.InferenceResult(q.Rows, a.Hidden, q, kv)
-		a.forwardFastInto(ws, out.Data, q.Data, q.Rows, kv.Data, kv.Rows, mask)
+		a.forwardFastInto(ws, out.Data, q.Data, q.Rows, kv.Data, kv.Rows, []Segment{{Lq: q.Rows, Lkv: kv.Rows, Mask: mask}})
 		tensor.ReleaseWorkspace(ws)
 		return out
 	}
@@ -140,7 +140,7 @@ func NewTransformerBlock(hidden, heads, intermediate int, rng *rand.Rand) *Trans
 func (b *TransformerBlock) Forward(q, kv *tensor.Tensor, mask *tensor.Tensor) *tensor.Tensor {
 	if b.fastEligible(q, kv, mask) {
 		ws := tensor.AcquireWorkspace()
-		out := b.forwardFastWS(ws, q, kv.Data, kv.Rows, mask, []*tensor.Tensor{q, kv})
+		out := b.forwardFastWS(ws, q, kv.Data, kv.Rows, []Segment{{Lq: q.Rows, Lkv: kv.Rows, Mask: mask}}, []*tensor.Tensor{q, kv})
 		tensor.ReleaseWorkspace(ws)
 		return out
 	}

@@ -90,20 +90,33 @@ func (a *MultiHeadAttention) fastEligible(q, kv, mask *tensor.Tensor) bool {
 		tensor.NoGrad(q, kv, mask, a.WQ.W, a.WQ.B, a.WK.W, a.WK.B, a.WV.W, a.WV.B, a.WO.W, a.WO.B)
 }
 
+// Segment is one attention problem inside a packed batch: query rows
+// [Q0, Q0+Lq) attend only to key/value rows [K0, K0+Lkv), under Mask (an
+// additive Lq × Lkv matrix, nil for none). Packing several independent
+// sequences this way (variable-length packing in the style of
+// FlashAttention-2, arXiv:2307.08691) runs the projections and the
+// feed-forward over all rows at once, while each attention core sees only
+// its own segment — so a segment's output never depends on its batch-mates.
+type Segment struct {
+	Q0, Lq, K0, Lkv int
+	Mask            *tensor.Tensor
+}
+
 // forwardFastInto runs fused attention into dst (lq × Hidden). q and kv are
 // raw row-major activations; passing the same slice for both selects the
-// packed single-matmul self-attention projection.
-func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64, q []float64, lq int, kv []float64, lkv int, mask *tensor.Tensor) {
+// packed single-matmul self-attention projection. The projections cover
+// every row; the attention core runs once per segment.
+func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64, q []float64, lq int, kv []float64, lkv int, segs []Segment) {
 	h := a.Hidden
 	pk := a.pack()
 	headDim := h / a.Heads
-	sh := AttnShapeFor(lq, lkv, a.Heads, headDim)
 	quant := quantSelected(ws)
 	var qq *tensor.QuantMatrix
 	if quant {
 		qq = a.quantPack(pk)
 	}
 	var qp, kvp []float64
+	var qStride, kOff, vOff, kvStride int
 	if lq == lkv && &q[0] == &kv[0] {
 		proj := ws.Take(lq * 3 * h)
 		if quant {
@@ -112,8 +125,7 @@ func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64
 			tensor.LinearInto(proj, q, lq, h, pk.w, 3*h, 0, 3*h, pk.b)
 		}
 		qp, kvp = proj, proj
-		sh.QOff, sh.QStride = 0, 3*h
-		sh.KOff, sh.VOff, sh.KVStride = h, 2*h, 3*h
+		qStride, kOff, vOff, kvStride = 3*h, h, 2*h, 3*h
 	} else {
 		qp = ws.Take(lq * h)
 		kvp = ws.Take(lkv * 2 * h)
@@ -124,12 +136,18 @@ func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64
 			tensor.LinearInto(qp, q, lq, h, pk.w, 3*h, 0, h, pk.b)
 			tensor.LinearInto(kvp, kv, lkv, h, pk.w, 3*h, h, 3*h, pk.b)
 		}
-		sh.QOff, sh.QStride = 0, h
-		sh.KOff, sh.VOff, sh.KVStride = 0, h, 2*h
+		qStride, kOff, vOff, kvStride = h, 0, h, 2*h
 	}
 	core := ws.Take(lq * h)
-	if !(quant && tensor.QuantAttentionCore(ws, core, qp, kvp, sh, mask)) {
-		tensor.FusedAttentionCore(ws, core, qp, kvp, sh, mask)
+	for _, s := range segs {
+		sh := AttnShapeFor(s.Lq, s.Lkv, a.Heads, headDim)
+		sh.QStride = qStride
+		sh.KOff, sh.VOff, sh.KVStride = kOff, vOff, kvStride
+		out := core[s.Q0*h : (s.Q0+s.Lq)*h]
+		sq, skv := qp[s.Q0*qStride:], kvp[s.K0*kvStride:]
+		if !(quant && tensor.QuantAttentionCore(ws, out, sq, skv, sh, s.Mask)) {
+			tensor.FusedAttentionCore(ws, out, sq, skv, sh, s.Mask)
+		}
 	}
 	if quant {
 		tensor.LinearQuantInto(ws, dst, core, lq, h, a.WO.quantPack(), 0, h, a.WO.B.Data)
@@ -155,12 +173,12 @@ func (b *TransformerBlock) fastEligible(q, kv, mask *tensor.Tensor) bool {
 // GELU feed-forward, residual+LN2. Every intermediate lives in ws; only the
 // output is an arena tensor, with the given parents recorded so
 // ReleaseGraph frees fused graphs like composed ones.
-func (b *TransformerBlock) forwardFastWS(ws *tensor.Workspace, q *tensor.Tensor, kvData []float64, lkv int, mask *tensor.Tensor, parents []*tensor.Tensor) *tensor.Tensor {
+func (b *TransformerBlock) forwardFastWS(ws *tensor.Workspace, q *tensor.Tensor, kvData []float64, lkv int, segs []Segment, parents []*tensor.Tensor) *tensor.Tensor {
 	h := b.Attn.Hidden
 	lq := q.Rows
 	quant := quantSelected(ws)
 	attn := ws.Take(lq * h)
-	b.Attn.forwardFastInto(ws, attn, q.Data, lq, kvData, lkv, mask)
+	b.Attn.forwardFastInto(ws, attn, q.Data, lq, kvData, lkv, segs)
 	x := ws.Take(lq * h)
 	tensor.FusedAddLayerNormInto(x, q.Data, attn, b.LN1.Gamma.Data, b.LN1.Beta.Data, lq, h, b.LN1.Eps)
 	inter := b.FF1.Out()
@@ -190,39 +208,22 @@ func (b *TransformerBlock) ForwardWS(ws *tensor.Workspace, q, kv *tensor.Tensor,
 	if !b.fastEligible(q, kv, mask) {
 		return b.Forward(q, kv, mask)
 	}
-	return b.forwardFastWS(ws, q, kv.Data, kv.Rows, mask, []*tensor.Tensor{q, kv})
+	return b.forwardFastWS(ws, q, kv.Data, kv.Rows, []Segment{{Lq: q.Rows, Lkv: kv.Rows, Mask: mask}}, []*tensor.Tensor{q, kv})
 }
 
-// ForwardKVConcatWS runs the block with keys/values formed by vertically
-// concatenating parts (the content tower's [metadata ⊕ content] wiring)
-// without materializing the concatenation as a graph tensor: the rows are
-// assembled in workspace scratch and every part is recorded as a parent of
-// the output, so ReleaseGraph still reaches fresh metadata encodings.
-func (b *TransformerBlock) ForwardKVConcatWS(ws *tensor.Workspace, q *tensor.Tensor, parts []*tensor.Tensor, mask *tensor.Tensor) *tensor.Tensor {
-	fast := b.fastEligible(q, q, mask)
-	for _, p := range parts {
-		if p.RequiresGrad() {
-			fast = false
-		}
-	}
-	if !fast {
-		return b.Forward(q, tensor.ConcatRows(parts...), mask)
-	}
-	h := b.Attn.Hidden
-	lkv := 0
-	for _, p := range parts {
-		lkv += p.Rows
-	}
-	kvData := ws.Take(lkv * h)
-	off := 0
-	for _, p := range parts {
-		copy(kvData[off:off+len(p.Data)], p.Data)
-		off += len(p.Data)
-	}
-	parents := make([]*tensor.Tensor, 0, len(parts)+1)
-	parents = append(parents, q)
-	parents = append(parents, parts...)
-	return b.forwardFastWS(ws, q, kvData, lkv, mask, parents)
+// InferenceReady reports whether the block's fused NoGrad path is
+// selectable for grad-free inputs: the global toggle is on and no block
+// parameter requires grad. ForwardPackedWS requires it.
+func (b *TransformerBlock) InferenceReady() bool { return b.fastEligible(nil, nil, nil) }
+
+// ForwardPackedWS runs the block fused over a packed batch of independent
+// segments (see Segment). q holds every segment's query rows; kv holds
+// lkv key/value rows (a workspace buffer is fine) and, when it is q.Data
+// itself, selects self-attention. The output has q's shape with parents
+// recorded for ReleaseGraph. Inference only: the caller must have checked
+// InferenceReady and that no input requires grad.
+func (b *TransformerBlock) ForwardPackedWS(ws *tensor.Workspace, q *tensor.Tensor, kv []float64, lkv int, segs []Segment, parents ...*tensor.Tensor) *tensor.Tensor {
+	return b.forwardFastWS(ws, q, kv, lkv, segs, parents)
 }
 
 // ForwardWS is the classifier forward with explicit workspace and explicit

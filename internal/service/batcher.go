@@ -4,8 +4,14 @@
 // one larger model batch, amortizing kernel dispatch and classifier overhead
 // across requests, then demultiplexes the per-chunk results back to their
 // submitters. Batching changes throughput only — each chunk's rows are
-// bit-identical to an unbatched call because the model's block-diagonal
-// batch mask isolates every chunk (see adtd.PredictContentBatch).
+// bit-identical to an unbatched call because the model packs the chunks and
+// runs every chunk's attention over its own keys alone (see
+// adtd.PredictContentBatch).
+//
+// The window is only an upper bound on waiting for company. Requests
+// register for their lifetime (Register); once every registered request in
+// flight already has a submission queued, no other request could join the
+// queue, so it flushes at once — a lone request never waits.
 package service
 
 import (
@@ -60,8 +66,20 @@ type batchCall struct {
 	reqs     []adtd.ContentRequest
 	n        int
 	enqueued time.Time
+	member   *batchMember     // the submitting registered request, or nil
 	out      chan batchResult // buffered; flush never blocks on it
 }
+
+// batchMember is one registered request. Its fields are guarded by the
+// batcher's mu.
+type batchMember struct {
+	b      *Batcher
+	queued int  // this request's submissions waiting in pending
+	done   bool // the request finished (its release func ran)
+}
+
+// batchMemberKey carries a request's *batchMember in its context.
+type batchMemberKey struct{}
 
 type batchResult struct {
 	probs [][][]float64
@@ -83,6 +101,9 @@ type Batcher struct {
 	pending []*batchCall
 	stats   BatcherStats
 	stopped bool
+	// members counts registered requests in flight; waiting counts those
+	// with at least one submission in pending.
+	members, waiting int
 
 	wake chan struct{} // signals the collector that pending changed
 	quit chan struct{}
@@ -130,6 +151,48 @@ func (b *Batcher) Stop() {
 	b.runs.Wait()
 }
 
+// Register enrolls one request with the batcher until the returned release
+// func runs (call it exactly once, when the request is finished). The
+// request's content submissions must carry the returned context. While
+// registered requests are in flight, a queued submission flushes as soon as
+// every one of them has a submission queued, instead of waiting out the
+// window; a batcher nobody registers with keeps the plain window behaviour.
+func (b *Batcher) Register(ctx context.Context) (context.Context, func()) {
+	m := &batchMember{b: b}
+	b.mu.Lock()
+	b.members++
+	b.mu.Unlock()
+	release := func() {
+		b.mu.Lock()
+		if !m.done {
+			m.done = true
+			b.members--
+			if m.queued > 0 {
+				b.waiting--
+			}
+		}
+		b.mu.Unlock()
+		// One fewer request can join: the queue may be complete now.
+		b.signal()
+	}
+	return context.WithValue(ctx, batchMemberKey{}, m), release
+}
+
+// signal wakes the collector to re-evaluate the queue.
+func (b *Batcher) signal() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// completeLocked reports whether no other request can join the queue: it
+// is non-empty and every registered request in flight has a submission in
+// it.
+func (b *Batcher) completeLocked() bool {
+	return len(b.pending) > 0 && b.members > 0 && b.waiting >= b.members
+}
+
 // Stats returns a snapshot of the batching counters.
 func (b *Batcher) Stats() BatcherStats {
 	b.mu.Lock()
@@ -152,14 +215,17 @@ func (b *Batcher) InferContentBatch(ctx context.Context, m *adtd.Model, reqs []a
 		return b.forward(m, reqs, n), nil
 	}
 	call := &batchCall{ctx: ctx, model: m, reqs: reqs, n: n, enqueued: time.Now(), out: make(chan batchResult, 1)}
+	if mb, ok := ctx.Value(batchMemberKey{}).(*batchMember); ok && mb.b == b && !mb.done {
+		call.member = mb
+		if mb.queued++; mb.queued == 1 {
+			b.waiting++
+		}
+	}
 	b.pending = append(b.pending, call)
 	b.stats.Submissions++
 	b.mu.Unlock()
 	batcherSubmissionsTotal.Inc()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
+	b.signal()
 	select {
 	case res := <-call.out:
 		return res.probs, res.err
@@ -169,8 +235,9 @@ func (b *Batcher) InferContentBatch(ctx context.Context, m *adtd.Model, reqs []a
 }
 
 // collect is the single collector goroutine: it watches the queue and
-// decides when to flush — window expiry since the oldest submission, the
-// chunk cap reached, an imminent submitter deadline, or shutdown.
+// decides when to flush — no other registered request can join, the chunk
+// cap reached, window expiry since the oldest submission, an imminent
+// submitter deadline, or shutdown.
 func (b *Batcher) collect() {
 	defer close(b.done)
 	timer := time.NewTimer(time.Hour)
@@ -190,9 +257,10 @@ func (b *Batcher) collect() {
 			}
 		}
 		empty := len(b.pending) == 0
+		complete := b.completeLocked()
 		b.mu.Unlock()
 
-		if !empty && chunks >= b.maxBatch {
+		if complete || (!empty && chunks >= b.maxBatch) {
 			b.flush()
 			continue
 		}
@@ -245,6 +313,13 @@ func (b *Batcher) flush() {
 	b.mu.Lock()
 	calls := b.pending
 	b.pending = nil
+	for _, c := range calls {
+		if mb := c.member; mb != nil {
+			if mb.queued--; mb.queued == 0 && !mb.done {
+				b.waiting--
+			}
+		}
+	}
 	b.mu.Unlock()
 	if len(calls) == 0 {
 		return

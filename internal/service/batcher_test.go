@@ -67,9 +67,20 @@ func TestBatcherCoalescesConcurrentDetects(t *testing.T) {
 	}
 
 	// A window much longer than per-request prep guarantees the concurrent
-	// submissions overlap in the queue.
+	// submissions overlap in the queue. A queued submission waits only
+	// while another registered request is still in flight, and on one CPU
+	// the first request can finish before the others start; so a stand-in
+	// request stays registered until every detect has submitted, then
+	// leaves, which flushes the complete queue at once.
 	svc := batchedService(t, 150*time.Millisecond, 64)
 	h := svc.Handler()
+	_, leave := svc.batcher.Register(context.Background())
+	go func() {
+		defer leave()
+		for deadline := time.Now().Add(time.Second); svc.batcher.Stats().Submissions < len(tables) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	got := make([]string, len(tables))
 	codes := make([]int, len(tables))
 	var wg sync.WaitGroup
@@ -126,6 +137,27 @@ func TestBatcherCoalescesConcurrentDetects(t *testing.T) {
 	}
 	if bs.MaxBatchChunks < 2 {
 		t.Fatalf("max batch chunks = %d, want ≥ 2", bs.MaxBatchChunks)
+	}
+}
+
+// TestDetectLoneRequestSkipsBatchWindow: a whole-database detect alone on
+// the service never waits for company that cannot come — every content
+// submission flushes at once instead of after the window.
+func TestDetectLoneRequestSkipsBatchWindow(t *testing.T) {
+	svc := batchedService(t, time.Second, 64)
+	resp, apiErr := svc.Detect(context.Background(), DetectRequest{Database: "tenantdb", Pipelined: true})
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if resp.ScannedColumns == 0 {
+		t.Fatal("no column reached Phase 2: nothing was submitted to the batcher")
+	}
+	st := svc.batcher.Stats()
+	if st.Submissions == 0 {
+		t.Fatal("no submissions reached the batcher")
+	}
+	if st.QueueDelay >= 250*time.Millisecond {
+		t.Fatalf("%d submissions queued for %v in total, want ≪ the 1 s window", st.Submissions, st.QueueDelay)
 	}
 }
 

@@ -34,11 +34,10 @@ type DetectRequest struct {
 	// request; 0 keeps the service default (or derives from the legacy
 	// prep/infer overrides above when those are set).
 	Workers int `json:"workers,omitempty"`
-	// Lookahead and BatchChunks override the scan-prefetch window and the
-	// cross-table batching cap (core.ExecMode semantics: 0 = service
-	// default, negative = disable the feature for this request).
+	// Lookahead overrides the scan-prefetch window (core.ExecMode
+	// semantics: 0 = service default, negative = disable prefetching for
+	// this request).
 	Lookahead      int   `json:"lookahead,omitempty"`
-	BatchChunks    int   `json:"batch_chunks,omitempty"`
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// Trace requests the span tree of this detection inline in the
 	// response: per-stage timings for every table, relative to request
@@ -235,6 +234,14 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		defer cancel()
 	}
 
+	if s.batcher != nil {
+		// In flight until detection returns: the batcher then knows when
+		// no other request can join a queued content batch.
+		var release func()
+		ctx, release = s.batcher.Register(ctx)
+		defer release()
+	}
+
 	resp := &DetectResponse{Database: req.Database, ModelVersion: modelVersion}
 	start := time.Now()
 	// finish stamps the duration and trace and records the request's
@@ -279,9 +286,6 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 			}
 			if req.Lookahead != 0 {
 				mode.Lookahead = req.Lookahead
-			}
-			if req.BatchChunks != 0 {
-				mode.BatchChunks = req.BatchChunks
 			}
 		}
 		rep, err := s.detector.DetectDatabase(ctx, server, req.Database, mode)

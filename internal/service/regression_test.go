@@ -262,7 +262,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`taste_stage_seconds_bucket{stage="s1",le="+Inf"}`,
 		`taste_stage_seconds_bucket{stage="s4",le="+Inf"}`,
 		`taste_pipeline_queue_wait_seconds_count{kind="prep",stage="s1",stolen="false"}`,
-		`taste_pipeline_batch_forwards_total`,
+		`taste_adtd_forwards_total{kind="content"}`,
 		`taste_detect_requests_total{outcome="ok"}`,
 		`taste_detect_requests_total{outcome="degraded"}`,
 		`taste_detect_requests_total{outcome="error"}`,

@@ -193,8 +193,9 @@ type AttnShape struct {
 // streaming one score row at a time instead of materializing per-head
 // Lq×Lkv score matrices. mask (Lq × Lkv additive, may be nil) follows
 // SoftmaxRows semantics: -Inf removes a position — here the position's dot
-// product is skipped entirely, which on block-diagonal batch masks removes
-// most of the score work — and a fully masked row yields zeros.
+// product is skipped entirely, which on the content tower's per-column
+// masks removes most of the score work — and a fully masked row yields
+// zeros.
 // Bit-exact against SliceCols+MatMulNT+Scale+SoftmaxRows+MatMul+ConcatCols.
 func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, mask *Tensor) {
 	hd := sh.Heads * sh.HeadDim

@@ -41,11 +41,10 @@
 #
 # $6 (default BENCH_10.json) receives the pipeline set: tastebench
 # -benchpipeline measures whole-database detection over 200 narrow
-# 3-column tables (every column forced through Phase 2) in three modes —
-# sequential, work-stealing, and work-stealing with cross-table inference
-# batching — at every matrix point, reporting p50/p95, Phase-2 forward
-# counts, prefetch hit/waste, and steal counts, with every mode's results
-# byte-compared against sequential. Set PIPELINE_ONLY=1 to run just this
+# 3-column tables (every column forced through Phase 2) in two modes —
+# sequential and work-stealing — at every matrix point, reporting p50/p95,
+# Phase-2 forward counts, prefetch hit/waste, and steal counts, with the
+# stealing mode's results byte-compared against sequential. Set PIPELINE_ONLY=1 to run just this
 # suite; scripts/bench_gate.sh regression-gates against its output.
 set -eu
 
@@ -286,11 +285,10 @@ fi # FLEET_ONLY / PIPELINE_ONLY
 if [ "${FLEET_ONLY:-0}" != "1" ] && [ "${CACHE_ONLY:-0}" != "1" ]; then
 
 # Pipeline set → $PIPE_OUT. tastebench -benchpipeline runs the same
-# 200-table × 3-column database through sequential, work-stealing, and
-# work-stealing+batched modes with an untrained tiny model (α=0.01/β=0.99
-# forces every column through Phase 2); each invocation byte-compares every
-# mode's results against sequential and fails unless the batched mode cuts
-# Phase-2 forwards ≥5×. The full matrix runs so p50 claims are tied to a
+# 200-table × 3-column database through sequential and work-stealing modes
+# with an untrained tiny model (α=0.01/β=0.99 forces every column through
+# Phase 2); each invocation byte-compares the stealing mode's results
+# against sequential. The full matrix runs so p50 claims are tied to a
 # recorded machine shape.
 TBENCH="$(mktemp -d)/tastebench"
 go build -o "$TBENCH" ./cmd/tastebench
