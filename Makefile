@@ -13,13 +13,19 @@ GO ?= go
 # page store backs concurrent publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet test race race-all fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet cross test race race-all fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# cross vets the module, tests included, for arm64: it keeps the generic
+# (non-SIMD) kernel fallbacks and the architecture-split test files
+# compiling on a non-amd64 target.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 test: build
 	$(GO) test ./...
@@ -54,10 +60,12 @@ cache-smoke:
 registry-smoke:
 	bash scripts/registry_smoke.sh
 
-# ci is the gate a pull request must pass: vet, build, the full test suite,
-# the race detector over every concurrent package, and the serving smoke
-# tests.
-ci: vet test race metrics-smoke fleet-smoke cache-smoke registry-smoke
+# ci is the gate a pull request must pass: vet (native and arm64), build,
+# the full test suite, the race detector over every concurrent package, the
+# serving smoke tests, the pipeline bench gate, the benchmark smoke run and
+# the /v1/detect fuzzer. .github/workflows/ci.yml runs these same targets,
+# one step each, in this order.
+ci: vet cross test race metrics-smoke fleet-smoke cache-smoke registry-smoke bench-gate bench-smoke fuzz
 
 # race-all adds internal/core, whose fixture trains a model and needs a
 # far longer deadline under the race detector's ~10x slowdown.
@@ -106,11 +114,11 @@ bench-gate:
 
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
-# The second pass repeats one quantized pair so the int8 kernels are
+# The second pass repeats the quantized benchmarks so the int8 kernels are
 # exercised even where the default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench='BenchmarkQuantAttentionCore128$$|BenchmarkLinearQuantInto128x64x192$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='BenchmarkQuantAttentionCore128$$|BenchmarkLinearQuantInto128x64x192$$|BenchmarkSelfAttention128Quant$$' -benchtime=1x ./internal/tensor/ ./internal/nn/
 
 clean:
 	$(GO) clean ./...

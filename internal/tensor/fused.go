@@ -2,7 +2,12 @@
 // replicates, element for element, the floating-point operation sequence of
 // the composed autograd ops it replaces (MatMul+AddRowVector,
 // MatMulNT+Scale+SoftmaxRows+MatMul, Add+LayerNorm, ...), so fast-path
-// outputs are bit-exact against the slow path — enforced by fused_test.go.
+// outputs are bit-exact against the slow path — enforced by the fast-path
+// tests in internal/nn and internal/adtd. Bit-exactness needs every product
+// rounded before it is added: Go may contract x*y + z into an FMA (arm64
+// does), so the kernels wrap each product in an explicit float64
+// conversion, the spec's rounding point, and the AVX2 rank updates
+// (simd_amd64.s) use separate multiplies and adds in the same order.
 // The wins come from everything around the arithmetic: no per-op tensor and
 // graph bookkeeping, no materialized per-head score matrices or column
 // slices, workspace scratch instead of zeroed arena buffers, and dot
@@ -66,28 +71,47 @@ func allocDataDirty(n int) ([]float64, bool) {
 	return make([]float64, n, 1<<c), true
 }
 
-// axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 elementwise. Go's
-// float64 addition is left-associative and unfused (no FMA contraction), so
-// each element sees exactly the same rounding sequence as four successive
-// axpy calls — which is what keeps the register-blocked kernels bit-exact
-// against the one-rank-at-a-time reference.
-func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+// axpy4 computes y += c[0]*x0 + c[1]*x1 + c[2]*x2 + c[3]*x3 elementwise, where
+// rank r reads x_r = b[r*stride : r*stride+len(y)], as one left-associative
+// chain per element. Each product is wrapped in an explicit float64
+// conversion, which the Go spec defines as a rounding point, so no
+// architecture may contract a multiply-add into an FMA (arm64 otherwise
+// does); every element then sees exactly the rounding sequence of four
+// successive axpy calls — which is what keeps the register-blocked kernels
+// bit-exact against the one-rank-at-a-time reference. With AVX2 the leading
+// multiple of four elements runs in axpy4Asm, which performs the same
+// unfused multiply-then-add sequence four lanes at a time.
+func axpy4(c *[4]float64, b []float64, stride int, y []float64) {
 	n := len(y)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	for j := 0; j < n; j++ {
-		y[j] = y[j] + a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j]
+	// Slicing every rank up front is also the bounds check for axpy4Asm.
+	x0, x1, x2, x3 := b[:n], b[stride:stride+n], b[2*stride:2*stride+n], b[3*stride:3*stride+n]
+	j := 0
+	if haveAVX2 && n >= 4 {
+		j = n &^ 3
+		axpy4Asm(c, &x0[0], stride, &y[0], j)
+	}
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	for ; j < n; j++ {
+		y[j] = y[j] + float64(c0*x0[j]) + float64(c1*x1[j]) + float64(c2*x2[j]) + float64(c3*x3[j])
 	}
 }
 
-// axpy8 is two fused axpy4 steps: y += Σ a_i*x_i over eight ranks, one
-// left-associative chain per element — bitwise identical to eight
-// successive axpy calls, with half the passes over y.
-func axpy8(a0, a1, a2, a3, a4, a5, a6, a7 float64, x0, x1, x2, x3, x4, x5, x6, x7, y []float64) {
+// axpy8 is two fused axpy4 steps: y += Σ c[r]*x_r over eight ranks at
+// stride, one left-associative chain per element — bitwise identical to
+// eight successive axpy calls, with half the passes over y.
+func axpy8(c *[8]float64, b []float64, stride int, y []float64) {
 	n := len(y)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	x4, x5, x6, x7 = x4[:n], x5[:n], x6[:n], x7[:n]
-	for j := 0; j < n; j++ {
-		y[j] = y[j] + a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j] + a4*x4[j] + a5*x5[j] + a6*x6[j] + a7*x7[j]
+	x0, x1, x2, x3 := b[:n], b[stride:stride+n], b[2*stride:2*stride+n], b[3*stride:3*stride+n]
+	x4, x5, x6, x7 := b[4*stride:4*stride+n], b[5*stride:5*stride+n], b[6*stride:6*stride+n], b[7*stride:7*stride+n]
+	j := 0
+	if haveAVX2 && n >= 4 {
+		j = n &^ 3
+		axpy8Asm(c, &x0[0], stride, &y[0], j)
+	}
+	c0, c1, c2, c3, c4, c5, c6, c7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	for ; j < n; j++ {
+		y[j] = y[j] + float64(c0*x0[j]) + float64(c1*x1[j]) + float64(c2*x2[j]) + float64(c3*x3[j]) +
+			float64(c4*x4[j]) + float64(c5*x5[j]) + float64(c6*x6[j]) + float64(c7*x7[j])
 	}
 }
 
@@ -119,17 +143,7 @@ func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) 
 				}
 				continue
 			}
-			base := p * bstride
-			axpy8(a0, a1, a2, a3, a4, a5, a6, a7,
-				b[base+c0:base+c0+n],
-				b[base+bstride+c0:base+bstride+c0+n],
-				b[base+2*bstride+c0:base+2*bstride+c0+n],
-				b[base+3*bstride+c0:base+3*bstride+c0+n],
-				b[base+4*bstride+c0:base+4*bstride+c0+n],
-				b[base+5*bstride+c0:base+5*bstride+c0+n],
-				b[base+6*bstride+c0:base+6*bstride+c0+n],
-				b[base+7*bstride+c0:base+7*bstride+c0+n],
-				orow)
+			axpy8((*[8]float64)(arow[p:p+8]), b[p*bstride+c0:], bstride, orow)
 		}
 		for ; p+4 <= k; p += 4 {
 			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
@@ -141,12 +155,7 @@ func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) 
 				}
 				continue
 			}
-			axpy4(a0, a1, a2, a3,
-				b[p*bstride+c0:p*bstride+c0+n],
-				b[(p+1)*bstride+c0:(p+1)*bstride+c0+n],
-				b[(p+2)*bstride+c0:(p+2)*bstride+c0+n],
-				b[(p+3)*bstride+c0:(p+3)*bstride+c0+n],
-				orow)
+			axpy4((*[4]float64)(arow[p:p+4]), b[p*bstride+c0:], bstride, orow)
 		}
 		for ; p < k; p++ {
 			if av := arow[p]; av != 0 {
@@ -270,15 +279,15 @@ func scoreRowGeneric(srow, qrow, kvp, mrow []float64, kOff, stride, lkv, headDim
 		var s0, s1, s2, s3 float64
 		d := 0
 		for ; d+4 <= headDim; d += 4 {
-			s0 += qrow[d] * krow[d]
-			s1 += qrow[d+1] * krow[d+1]
-			s2 += qrow[d+2] * krow[d+2]
-			s3 += qrow[d+3] * krow[d+3]
+			s0 += float64(qrow[d] * krow[d])
+			s1 += float64(qrow[d+1] * krow[d+1])
+			s2 += float64(qrow[d+2] * krow[d+2])
+			s3 += float64(qrow[d+3] * krow[d+3])
 		}
 		for ; d < headDim; d++ {
-			s0 += qrow[d] * krow[d]
+			s0 += float64(qrow[d] * krow[d])
 		}
-		v := (s0+s1+s2+s3)*scale + mv
+		v := float64((s0+s1+s2+s3)*scale) + mv
 		srow[j] = v
 		if v > maxv {
 			maxv = v
@@ -312,11 +321,11 @@ func scoreRow16(srow, qrow, kvp, mrow []float64, kOff, stride, lkv int, scale fl
 		}
 		base := j*stride + kOff
 		k := kvp[base : base+16 : base+16]
-		s0 := q0*k[0] + q4*k[4] + q8*k[8] + q12*k[12]
-		s1 := q1*k[1] + q5*k[5] + q9*k[9] + q13*k[13]
-		s2 := q2*k[2] + q6*k[6] + q10*k[10] + q14*k[14]
-		s3 := q3*k[3] + q7*k[7] + q11*k[11] + q15*k[15]
-		v := (s0+s1+s2+s3)*scale + mv
+		s0 := float64(q0*k[0]) + float64(q4*k[4]) + float64(q8*k[8]) + float64(q12*k[12])
+		s1 := float64(q1*k[1]) + float64(q5*k[5]) + float64(q9*k[9]) + float64(q13*k[13])
+		s2 := float64(q2*k[2]) + float64(q6*k[6]) + float64(q10*k[10]) + float64(q14*k[14])
+		s3 := float64(q3*k[3]) + float64(q7*k[7]) + float64(q11*k[11]) + float64(q15*k[15])
+		v := float64((s0+s1+s2+s3)*scale) + mv
 		srow[j] = v
 		if v > maxv {
 			maxv = v

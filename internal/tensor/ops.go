@@ -109,31 +109,37 @@ func dot(a, b []float64) float64 {
 	b = b[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return s0 + s1 + s2 + s3
 }
 
-// axpy computes y += alpha * x with 4-way unrolling; this kernel dominates
-// the remaining matmul variants.
+// axpy computes y += alpha * x; this kernel dominates the remaining matmul
+// variants. The float64 conversions pin each product's rounding (no FMA
+// contraction on any architecture), and with AVX2 the leading multiple of
+// four elements runs in axpyAsm, which rounds identically — see axpy4.
 func axpy(alpha float64, x, y []float64) {
 	n := len(y)
 	x = x[:n]
 	i := 0
+	if haveAVX2 && n >= 4 {
+		i = n &^ 3
+		axpyAsm(alpha, &x[0], &y[0], i)
+	}
 	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float64(alpha * x[i])
+		y[i+1] += float64(alpha * x[i+1])
+		y[i+2] += float64(alpha * x[i+2])
+		y[i+3] += float64(alpha * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 

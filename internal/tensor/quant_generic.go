@@ -5,7 +5,6 @@ package tensor
 // Non-amd64 platforms have no SIMD int8 kernels; QuantizeAvailable stays
 // false and the quantized path is never selected, but the generic kernels
 // keep the package compiling and testable.
-var haveQuantKernels = false
 
 func dotQuad(x, w []int8, stride, n int, sums *[4]int32) {
 	dotQuadGeneric(x, w, stride, n, sums)

@@ -6,96 +6,14 @@ import (
 	"testing"
 )
 
-// withQuantKernels forces the asm/generic kernel choice for the duration of
-// f. Serial tests only (haveQuantKernels is package state).
-func withQuantKernels(t *testing.T, on bool, f func()) {
+// withAVX2 forces the SIMD/generic kernel choice (fp64 and int8 alike) for
+// the duration of f. Serial tests only (haveAVX2 is package state).
+func withAVX2(t *testing.T, on bool, f func()) {
 	t.Helper()
-	old := haveQuantKernels
-	haveQuantKernels = on
-	defer func() { haveQuantKernels = old }()
+	old := haveAVX2
+	haveAVX2 = on
+	defer func() { haveAVX2 = old }()
 	f()
-}
-
-func randI8(rng *rand.Rand, n int) []int8 {
-	out := make([]int8, n)
-	for i := range out {
-		out[i] = int8(rng.Intn(255) - 127)
-	}
-	return out
-}
-
-// Property: the AVX2 quad-dot kernels match the portable reference exactly
-// on random inputs, across strides, lengths and alignments.
-func TestDotQuadAsmMatchesGeneric(t *testing.T) {
-	if !haveQuantKernels {
-		t.Skip("no SIMD int8 kernels on this machine")
-	}
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := quantLane * (1 + rng.Intn(8))
-		stride := n + quantLane*rng.Intn(3)
-		x := randI8(rng, stride)
-		w := randI8(rng, 4*stride)
-		x16 := make([]int16, stride)
-		for i := range x16 {
-			x16[i] = int16(rng.Intn(2*quantProbScale+1) - quantProbScale)
-		}
-		var got, want, gotW, wantW [4]int32
-		dotQuadAsm(&x[0], &w[0], stride, n, &got)
-		dotQuadGeneric(x, w, stride, n, &want)
-		dotQuadWAsm(&x16[0], &w[0], stride, n, &gotW)
-		dotQuadWGeneric(x16, w, stride, n, &wantW)
-		if got != want {
-			t.Fatalf("trial %d (n=%d stride=%d): dotQuad asm %v != generic %v", trial, n, stride, got, want)
-		}
-		if gotW != wantW {
-			t.Fatalf("trial %d (n=%d stride=%d): dotQuadW asm %v != generic %v", trial, n, stride, gotW, wantW)
-		}
-	}
-}
-
-// Property: the vectorized softmax-grid exp agrees with the scalar
-// reference within one grid step per element (the two round the 2^k split
-// differently at representation boundaries) and the sums track accordingly.
-// Against math.Exp the scalar reference is within one grid step too.
-func TestExpGridAsmMatchesGeneric(t *testing.T) {
-	if !haveQuantKernels {
-		t.Skip("no SIMD int8 kernels on this machine")
-	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(40)
-		s := make([]float64, n)
-		maxv := math.Inf(-1)
-		for i := range s {
-			s[i] = rng.NormFloat64() * 8
-			if s[i] > maxv {
-				maxv = s[i]
-			}
-		}
-		gotP := make([]int16, n)
-		wantP := make([]int16, n)
-		gotS := expGrid(s, maxv, gotP)
-		wantS := expGridGeneric(s, maxv, wantP)
-		diff := 0
-		for i := range s {
-			d := int(gotP[i]) - int(wantP[i])
-			if d < 0 {
-				d = -d
-			}
-			if d > 1 {
-				t.Fatalf("trial %d elem %d (x=%g): asm %d vs generic %d", trial, i, s[i]-maxv, gotP[i], wantP[i])
-			}
-			diff += d
-			exact := math.Exp(s[i]-maxv) * quantProbScale
-			if e := math.Abs(float64(wantP[i]) - exact); e > 1 {
-				t.Fatalf("trial %d elem %d: generic %d vs math.Exp grid %g", trial, i, wantP[i], exact)
-			}
-		}
-		if ds := gotS - wantS; ds > diff || ds < -diff {
-			t.Fatalf("trial %d: sum asm %d vs generic %d with element diff budget %d", trial, gotS, wantS, diff)
-		}
-	}
 }
 
 // Property: quantize→dequantize round-trips every element within half a
@@ -206,10 +124,10 @@ func TestFastExp(t *testing.T) {
 // a wide margin for both kernel implementations and both bias modes.
 func TestLinearQuantIntoTolerance(t *testing.T) {
 	for _, asm := range []bool{false, true} {
-		if asm && !haveQuantKernels {
+		if asm && !haveAVX2 {
 			continue
 		}
-		withQuantKernels(t, asm, func() {
+		withAVX2(t, asm, func() {
 			rng := rand.New(rand.NewSource(5))
 			ws := NewWorkspace()
 			for _, shape := range [][3]int{{7, 64, 192}, {3, 150, 30}, {12, 86, 3}, {1, 16, 1}} {
@@ -319,10 +237,10 @@ func blockMask(lq, lkv, meta, span int) *Tensor {
 // masked and maskless, with both kernel implementations.
 func TestQuantAttentionCoreTolerance(t *testing.T) {
 	for _, asm := range []bool{false, true} {
-		if asm && !haveQuantKernels {
+		if asm && !haveAVX2 {
 			continue
 		}
-		withQuantKernels(t, asm, func() {
+		withAVX2(t, asm, func() {
 			rng := rand.New(rand.NewSource(7))
 			ws := NewWorkspace()
 			for _, tc := range []struct {
