@@ -13,7 +13,7 @@ GO ?= go
 # page store backs concurrent publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet cross test race race-all fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet cross test perfbench-check race race-all fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,13 @@ cross:
 
 test: build
 	$(GO) test ./...
+
+# perfbench-check vets and unit-tests perfbench/, a module of its own that
+# imports this one through `replace ../`: `go build ./...` never compiles
+# it, so an API change that breaks the benchmark would pass every other
+# target. It runs offline and writes no file in the tree.
+perfbench-check:
+	cd perfbench && GOPROXY=off GOFLAGS=-mod=mod $(GO) vet . && GOPROXY=off GOFLAGS=-mod=mod $(GO) test .
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -61,11 +68,12 @@ registry-smoke:
 	bash scripts/registry_smoke.sh
 
 # ci is the gate a pull request must pass: vet (native and arm64), build,
-# the full test suite, the race detector over every concurrent package, the
-# serving smoke tests, the pipeline bench gate, the benchmark smoke run and
-# the /v1/detect fuzzer. .github/workflows/ci.yml runs these same targets,
-# one step each, in this order.
-ci: vet cross test race metrics-smoke fleet-smoke cache-smoke registry-smoke bench-gate bench-smoke fuzz
+# the full test suite, the benchmark module's vet and tests, the race
+# detector over every concurrent package, the serving smoke tests, the
+# pipeline bench gate, the benchmark smoke run and the /v1/detect fuzzer.
+# .github/workflows/ci.yml runs these same targets, one step each, in this
+# order.
+ci: vet cross test perfbench-check race metrics-smoke fleet-smoke cache-smoke registry-smoke bench-gate bench-smoke fuzz
 
 # race-all adds internal/core, whose fixture trains a model and needs a
 # far longer deadline under the race detector's ~10x slowdown.

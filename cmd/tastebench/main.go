@@ -38,12 +38,10 @@ func main() {
 		latency     = flag.Float64("latency", -1, "database latency scale, 1 = paper testbed (negative = config default)")
 		verbose     = flag.Bool("v", true, "log training and run progress to stderr")
 
-		prepWorkers  = flag.Int("prep-workers", 0, "TP1 pool size for pipelined runs (0 = paper default of 2)")
-		inferWorkers = flag.Int("infer-workers", 0, "TP2 pool size for pipelined runs (0 = paper default of 2)")
-		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
-		fastpath     = flag.Bool("fastpath", true, "use the fused no-grad inference kernels (disable to time the composed autograd ops)")
-		quantize     = flag.Bool("quantize", false, "run inference through the int8 quantized kernels (lossy; no-op without AVX2)")
-		trace        = flag.Bool("trace", false, "run one traced detection and print the per-phase latency breakdown (Table-7 style) instead of the experiments")
+		parallelism = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
+		fastpath    = flag.Bool("fastpath", true, "use the fused no-grad inference kernels (disable to time the composed autograd ops)")
+		quantize    = flag.Bool("quantize", false, "run inference through the int8 quantized kernels (lossy; no-op without AVX2)")
+		trace       = flag.Bool("trace", false, "run one traced detection and print the per-phase latency breakdown (Table-7 style) instead of the experiments")
 
 		loadgen       = flag.Bool("loadgen", false, "run the fleet load generator instead of the experiments (see -loadgen-* flags)")
 		loadgenMode   = flag.String("loadgen-mode", "closed", "arrival process: open (Poisson at -rate req/s) or closed (-concurrency workers, zero think time)")
@@ -119,8 +117,6 @@ func main() {
 	if *latency >= 0 {
 		cfg.LatencyScale = *latency
 	}
-	cfg.PrepWorkers = *prepWorkers
-	cfg.InferWorkers = *inferWorkers
 	if *verbose {
 		cfg.Log = os.Stderr
 	}

@@ -100,14 +100,12 @@ func detectInfo(det *taste.Detector, info *metafeat.TableInfo) []string {
 	tbl := &taste.Table{Name: info.Name, Columns: cols}
 	server := taste.NewServer(taste.NoLatency)
 	server.LoadTables("adhoc", []*taste.Table{tbl})
-	conn, err := server.Connect(context.Background(), "adhoc")
+	rep, err := det.DetectDatabase(context.Background(), server, "adhoc", taste.SequentialMode)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer conn.Close()
-	res, err := det.DetectTable(context.Background(), conn, "adhoc", info.Name)
-	if err != nil {
-		log.Fatal(err)
+	if len(rep.Errors) > 0 {
+		log.Fatal(rep.Errors[0])
 	}
-	return res.Columns[0].Admitted
+	return rep.Tables[0].Columns[0].Admitted
 }

@@ -46,8 +46,8 @@ func main() {
 	runs := []run{
 		{"sequential, no cache", taste.SequentialMode, false},
 		{"sequential, latent cache", taste.SequentialMode, true},
-		{"pipelined (TP1=TP2=2), latent cache", taste.PipelinedMode(), true},
-		{"pipelined (TP1=TP2=4), latent cache", taste.ExecMode{Pipelined: true, PrepWorkers: 4, InferWorkers: 4}, true},
+		{"pipelined (4 workers), latent cache", taste.PipelinedMode(), true},
+		{"pipelined (8 workers), latent cache", taste.ExecMode{Pipelined: true, Workers: 8}, true},
 	}
 	fmt.Printf("%-38s %12s %10s %12s\n", "execution mode", "duration", "scanned", "cache hits")
 	var baseline time.Duration

@@ -49,22 +49,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	conn, err := server.Connect(context.Background(), "tenant")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
-	tables, err := conn.ListTables(context.Background())
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	table := ds.Test[0].Name
 	truth := taste.GroundTruth(ds.Test)
-	fmt.Printf("\ndetecting semantic types for table %q\n", tables[0])
-	res, err := det.DetectTable(context.Background(), conn, "tenant", tables[0])
+	fmt.Printf("\ndetecting semantic types for table %q\n", table)
+	rep, err := det.DetectDatabase(context.Background(), server, "tenant", taste.SequentialMode, table)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(rep.Errors) > 0 {
+		log.Fatal(rep.Errors[0])
+	}
+	res := rep.Tables[0]
 	fmt.Printf("%-16s %-8s %-28s %s\n", "column", "phase", "admitted types", "ground truth")
 	for _, c := range res.Columns {
 		fmt.Printf("%-16s P%-7d %-28s %s\n",

@@ -441,13 +441,13 @@ type ExecMode struct {
 	// DESIGN.md §16); false processes tables sequentially.
 	Pipelined bool
 	// Workers sizes the unified work-stealing pool. 0 derives the size
-	// from PrepWorkers+InferWorkers — the capacity the legacy fixed pools
-	// offered — or defaults to 4, the paper's 2+2, when those are unset
-	// too.
+	// from PrepWorkers+InferWorkers, or defaults to 4, the paper's 2+2,
+	// when those are unset too.
 	Workers int
-	// PrepWorkers and InferWorkers are the legacy §5 fixed-pool sizes.
-	// Stage kinds are scheduling priorities now, not dedicated lanes, so
-	// the two survive only as capacity inputs to the Workers derivation.
+	// PrepWorkers and InferWorkers are the legacy §5 fixed-pool sizes,
+	// read only by the Workers derivation above. Stage kinds are
+	// scheduling priorities now, not dedicated lanes; new code sets
+	// Workers.
 	PrepWorkers  int
 	InferWorkers int
 	// Lookahead bounds the scan prefetcher: at most this many table
@@ -469,14 +469,15 @@ var SequentialMode = ExecMode{}
 // PipelinedMode returns the default pipelined mode with the paper's pool
 // size of 2 (§6.3) — 4 workers total under the work-stealing scheduler.
 func PipelinedMode() ExecMode {
-	return ExecMode{Pipelined: true, PrepWorkers: 2, InferWorkers: 2}
+	return ExecMode{Pipelined: true, Workers: 4}
 }
 
 // AutoMode sizes the work-stealing pool from the machine instead of the
 // paper's fixed 2+2: one worker per logical CPU (floor 4, so a small host
 // still overlaps I/O with compute). The legacy per-kind fields are filled
-// in for callers that still display or override them; the lookahead knobs
-// stay 0 and resolve to their defaults per the struct contract.
+// in with the same total for callers that still derive Workers from them;
+// the lookahead knobs stay 0 and resolve to their defaults per the struct
+// contract.
 func AutoMode() ExecMode {
 	w := runtime.GOMAXPROCS(0)
 	if w < 4 {
@@ -494,7 +495,10 @@ func (m ExecMode) withDefaults(opts Options) ExecMode {
 		return m
 	}
 	if m.Workers == 0 {
-		m.Workers = pipeline.Scheduler{PrepWorkers: m.PrepWorkers, InferWorkers: m.InferWorkers}.WorkerCount()
+		m.Workers = m.PrepWorkers + m.InferWorkers
+		if m.Workers <= 0 {
+			m.Workers = 4
+		}
 	}
 	switch {
 	case m.Lookahead < 0:
@@ -1030,39 +1034,42 @@ func (j *tableJob) stages() []pipeline.Stage {
 	return raw
 }
 
-// DetectTable runs end-to-end detection for one table over an existing
-// connection. A nil ctx means context.Background().
-func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, table string) (*TableResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	j := &tableJob{d: d, model: d.requestModel(ctx), conn: conn, dbName: dbName, table: table}
-	for _, st := range j.stages() {
-		if err := st.Run(ctx); err != nil {
-			// Salvage a deadline-killed job when Phase 1 already answered.
-			if j.res != nil && !d.Opts.DisableDegradation && errors.Is(err, context.DeadlineExceeded) {
-				j.degrade(j.uncertain, "deadline exceeded", true)
-				j.res.Retries = j.retries
-				tablesDetectedTotal.Inc()
-				return j.res, nil
-			}
-			return nil, fmt.Errorf("core: table %s, stage %s: %w", table, st.Name, err)
-		}
-	}
-	j.res.Retries = j.retries
-	tablesDetectedTotal.Inc()
-	return j.res, nil
+// ErrDuplicateTable rejects a DetectDatabase call that names a table more
+// than once: the batch's prefetcher and report key tables by name.
+var ErrDuplicateTable = errors.New("core: table named twice")
+
+// TableError is a table the batch could not answer: its job failed (or
+// never ran) with Err. It unwraps to Err, so errors.Is(err,
+// context.DeadlineExceeded) identifies tables the request deadline killed
+// before Phase 1 resolved.
+type TableError struct {
+	Table string
+	Err   error
 }
 
-// DetectDatabase runs end-to-end detection over every table of a database,
-// reusing one connection for the whole batch (§5 recommends connection
-// reuse) and executing per the given mode. Per-table failures are collected
-// in Report.Errors without aborting the batch; tables whose Phase 1
-// completed before a deadline killed the batch are salvaged with their
-// unresolved columns degraded.
-func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbName string, mode ExecMode) (*Report, error) {
+func (e *TableError) Error() string { return fmt.Sprintf("table %s: %v", e.Table, e.Err) }
+
+// Unwrap returns the job error.
+func (e *TableError) Unwrap() error { return e.Err }
+
+// DetectDatabase runs end-to-end detection over a batch of a database's
+// tables — the named ones in the given order, or every table (ListTables)
+// when none are named — reusing one connection for the whole batch (§5
+// recommends connection reuse) and executing per the given mode. Named
+// tables must be distinct. Every table ends up either in Report.Tables or,
+// as a *TableError, in Report.Errors; per-table failures never abort the
+// batch, and tables whose Phase 1 completed before a deadline killed the
+// batch are salvaged with their unresolved columns degraded.
+func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbName string, mode ExecMode, tables ...string) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	seen := make(map[string]bool, len(tables))
+	for _, t := range tables {
+		if seen[t] {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateTable, t)
+		}
+		seen[t] = true
 	}
 	start := time.Now()
 	batchRetries := 0
@@ -1079,17 +1086,18 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 		return nil, err
 	}
 	defer conn.Close()
-	var tables []string
-	_, listSpan := obs.StartSpan(ctx, "list_tables")
-	n, err = d.retry(ctx, server.Accounting(), func() error {
-		var e error
-		tables, e = conn.ListTables(ctx)
-		return e
-	})
-	listSpan.End()
-	batchRetries += n
-	if err != nil {
-		return nil, err
+	if len(tables) == 0 {
+		_, listSpan := obs.StartSpan(ctx, "list_tables")
+		n, err = d.retry(ctx, server.Accounting(), func() error {
+			var e error
+			tables, e = conn.ListTables(ctx)
+			return e
+		})
+		listSpan.End()
+		batchRetries += n
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	cs0 := d.cache.Stats()
@@ -1140,7 +1148,7 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 				// degrading everything Phase 2 never reached.
 				tj.degrade(tj.uncertain, "deadline exceeded before phase 2", true)
 			} else {
-				rep.Errors = append(rep.Errors, fmt.Errorf("table %s: %w", j.ID, j.Err))
+				rep.Errors = append(rep.Errors, &TableError{Table: j.ID, Err: j.Err})
 				continue
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -122,16 +123,15 @@ func TestDetectTableProducesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newServer(ds)
-	conn, err := s.Connect(context.Background(), "tenant")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	src := ds.Test[0]
-	res, err := d.DetectTable(context.Background(), conn, "tenant", src.Name)
+	rep, err := d.DetectDatabase(context.Background(), s, "tenant", SequentialMode, src.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.Errors) > 0 || len(rep.Tables) != 1 {
+		t.Fatalf("named-table batch: %d tables, errors %v", len(rep.Tables), rep.Errors)
+	}
+	res := rep.Tables[0]
 	if res.Table != src.Name || len(res.Columns) != len(src.Columns) {
 		t.Fatalf("result mismatch: %+v", res)
 	}
@@ -150,6 +150,56 @@ func TestDetectTableProducesResults(t *testing.T) {
 				t.Fatal("background type must never be admitted")
 			}
 		}
+	}
+}
+
+// TestDetectDatabaseNamedTables: a named-table batch skips ListTables, runs
+// exactly the named tables in request order under every mode, answers them
+// as the whole-database batch does, reports an unknown table as a
+// *TableError, and rejects a repeated name before connecting.
+func TestDetectDatabaseNamedTables(t *testing.T) {
+	m, ds := trainedModel(t)
+	d, _ := NewDetector(m, DefaultOptions())
+	whole, err := d.DetectDatabase(context.Background(), newServer(ds), "tenant", SequentialMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]*TableResult{}
+	for _, tr := range whole.Tables {
+		byName[tr.Table] = tr
+	}
+	names := []string{ds.Test[2].Name, ds.Test[0].Name, "ghost_table", ds.Test[1].Name}
+	for _, mode := range []ExecMode{SequentialMode, PipelinedMode()} {
+		s := newServer(ds)
+		rep, err := d.DetectDatabase(context.Background(), s, "tenant", mode, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Tables) != 3 || len(rep.Errors) != 1 {
+			t.Fatalf("pipelined=%v: %d tables, errors %v; want 3 tables + 1 error", mode.Pipelined, len(rep.Tables), rep.Errors)
+		}
+		var te *TableError
+		if !errors.As(rep.Errors[0], &te) || te.Table != "ghost_table" {
+			t.Fatalf("pipelined=%v: unknown table error %v is not a *TableError for ghost_table", mode.Pipelined, rep.Errors[0])
+		}
+		for i, want := range []string{names[0], names[1], names[3]} {
+			tr := rep.Tables[i]
+			if tr.Table != want {
+				t.Fatalf("pipelined=%v: table %d is %s, want %s", mode.Pipelined, i, tr.Table, want)
+			}
+			if got, ref := fmt.Sprint(tr.Columns), fmt.Sprint(byName[want].Columns); got != ref {
+				t.Fatalf("pipelined=%v: table %s differs from the whole-database answer", mode.Pipelined, want)
+			}
+		}
+	}
+
+	s := newServer(ds)
+	_, err = d.DetectDatabase(context.Background(), s, "tenant", SequentialMode, names[0], names[1], names[0])
+	if !errors.Is(err, ErrDuplicateTable) {
+		t.Fatalf("repeated name: err = %v, want ErrDuplicateTable", err)
+	}
+	if c := s.Accounting().Snapshot().Connections; c != 0 {
+		t.Fatalf("repeated name reached the database: %d connections", c)
 	}
 }
 

@@ -425,10 +425,9 @@ func TestPipelinedFaultsNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestDetectTableDeadlineSalvage: DetectTable under an expiring deadline
-// either fails with a context error before Phase 1 or returns a salvaged
-// result with unresolved columns degraded — it must never return a result
-// missing columns.
+// TestDetectTableDeadlineSalvage: a named-table batch under an imminent
+// deadline returns every table salvaged with its unresolved columns
+// degraded — never a result missing columns — and scans nothing.
 func TestDetectTableDeadlineSalvage(t *testing.T) {
 	m, ds := trainedModel(t)
 	opts := DefaultOptions()
@@ -438,17 +437,23 @@ func TestDetectTableDeadlineSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newServer(ds)
-	conn, err := s.Connect(context.Background(), "tenant")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var names []string
+	for _, tb := range ds.Test[:3] {
+		names = append(names, tb.Name)
+	}
+	rep, err := d.DetectDatabase(ctx, s, "tenant", SequentialMode, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	for _, tb := range ds.Test[:3] {
-		tr, err := d.DetectTable(ctx, conn, "tenant", tb.Name)
-		if err != nil {
-			t.Fatalf("table %s: %v", tb.Name, err)
+	if len(rep.Errors) > 0 || len(rep.Tables) != len(names) {
+		t.Fatalf("%d tables, errors %v; want %d tables", len(rep.Tables), rep.Errors, len(names))
+	}
+	for i, tb := range ds.Test[:3] {
+		tr := rep.Tables[i]
+		if tr.Table != tb.Name {
+			t.Fatalf("table %d is %s, want %s (request order)", i, tr.Table, tb.Name)
 		}
 		if len(tr.Columns) != len(tb.Columns) {
 			t.Fatalf("table %s: %d columns returned, want %d", tb.Name, len(tr.Columns), len(tb.Columns))

@@ -40,17 +40,16 @@ func (r *RunResult) ScannedRatio() float64 {
 
 // TasteVariant selects one of the six Taste configurations of §6.2.
 type TasteVariant struct {
-	Name       string
-	Hist       bool
-	Pipelined  bool
-	Cache      bool
-	Sampling   bool
-	DisableP2  bool
-	Alpha      float64 // 0 = use default
-	Beta       float64 // 0 = use default
-	SplitL     int     // 0 = default 20
-	CellsN     int     // 0 = default 10
-	Sequential bool    // redundant with !Pipelined; kept for clarity
+	Name      string
+	Hist      bool
+	Pipelined bool
+	Cache     bool
+	Sampling  bool
+	DisableP2 bool
+	Alpha     float64 // 0 = use default
+	Beta      float64 // 0 = use default
+	SplitL    int     // 0 = default 20
+	CellsN    int     // 0 = default 10
 }
 
 // DefaultTaste is the paper's default Taste configuration.
@@ -151,7 +150,7 @@ func (s *Suite) RunTaste(dsName string, v TasteVariant) *RunResult {
 		server := s.newTestServer(ds)
 		mode := core.SequentialMode
 		if v.Pipelined {
-			mode = s.pipelinedMode()
+			mode = core.PipelinedMode()
 		}
 		rep, err := det.DetectDatabase(context.Background(), server, "tenant", mode)
 		if err != nil {
@@ -297,21 +296,10 @@ func newCoreDetector(m *adtd.Model, opts core.Options) (*core.Detector, error) {
 	return core.NewDetector(m, opts)
 }
 
+// pipelineMode is the pipelined mode with the paper's TP1 = TP2 = workers
+// (§5), i.e. one work-stealing pool of 2×workers.
 func pipelineMode(workers int) core.ExecMode {
-	return core.ExecMode{Pipelined: true, PrepWorkers: workers, InferWorkers: workers}
-}
-
-// pipelinedMode is the pipelined execution mode for timing runs: the
-// paper's 2/2 pools (§6.3) unless the config overrides either pool size.
-func (s *Suite) pipelinedMode() core.ExecMode {
-	mode := core.PipelinedMode()
-	if s.Cfg.PrepWorkers > 0 {
-		mode.PrepWorkers = s.Cfg.PrepWorkers
-	}
-	if s.Cfg.InferWorkers > 0 {
-		mode.InferWorkers = s.Cfg.InferWorkers
-	}
-	return mode
+	return core.ExecMode{Pipelined: true, Workers: 2 * workers}
 }
 
 func sequentialMode() core.ExecMode { return core.SequentialMode }

@@ -19,20 +19,18 @@ import (
 	"repro/internal/simdb"
 )
 
-// DetectRequest is the /v1/detect payload. PrepWorkers/InferWorkers, when
-// positive, override the service's default pool sizes for this pipelined
-// request; they are ignored when Pipelined is false. DeadlineMillis, when
-// positive, bounds the whole request: stages past the deadline degrade to
-// Phase-1 answers instead of running.
+// DetectRequest is the /v1/detect payload. Named tables and whole-database
+// requests run the same way: Pipelined, Workers and Lookahead apply to
+// both. DeadlineMillis, when positive, bounds the whole request: stages
+// past the deadline degrade to Phase-1 answers instead of running.
 type DetectRequest struct {
-	Database     string   `json:"database"`
-	Tables       []string `json:"tables,omitempty"` // empty = all tables
-	Pipelined    bool     `json:"pipelined"`
-	PrepWorkers  int      `json:"prep_workers,omitempty"`
-	InferWorkers int      `json:"infer_workers,omitempty"`
+	Database string `json:"database"`
+	// Tables names the tables to detect, in answer order; empty means every
+	// table of the database. Names must be distinct.
+	Tables    []string `json:"tables,omitempty"`
+	Pipelined bool     `json:"pipelined"`
 	// Workers overrides the work-stealing pool size for this pipelined
-	// request; 0 keeps the service default (or derives from the legacy
-	// prep/infer overrides above when those are set).
+	// request; 0 keeps the service default.
 	Workers int `json:"workers,omitempty"`
 	// Lookahead overrides the scan-prefetch window (core.ExecMode
 	// semantics: 0 = service default, negative = disable prefetching for
@@ -88,8 +86,9 @@ type DetectColumn struct {
 type DetectTable struct {
 	Table   string         `json:"table"`
 	Columns []DetectColumn `json:"columns"`
-	// Skipped marks a table the request deadline expired before reaching:
-	// no detection was attempted, Columns is empty, SkipReason explains.
+	// Skipped marks a table the request deadline killed before its Phase 1
+	// answered: Columns is empty, SkipReason explains. One summary entry in
+	// DetectResponse.Errors covers all skipped tables.
 	Skipped    bool   `json:"skipped,omitempty"`
 	SkipReason string `json:"skip_reason,omitempty"`
 }
@@ -195,8 +194,8 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	if req.DeadlineMillis < 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "deadline_ms must be ≥ 0")
 	}
-	if req.Workers < 0 || req.PrepWorkers < 0 || req.InferWorkers < 0 {
-		return nil, apiErrorf(http.StatusBadRequest, "worker counts must be ≥ 0")
+	if req.Workers < 0 {
+		return nil, apiErrorf(http.StatusBadRequest, "workers must be ≥ 0")
 	}
 	server, ok := s.tenant(req.Database)
 	if !ok {
@@ -265,103 +264,60 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		}
 		return resp
 	}
-	if len(req.Tables) == 0 {
-		mode := core.SequentialMode
-		if req.Pipelined {
-			mode = s.defaultMode
-			mode.Pipelined = true
-			if req.PrepWorkers > 0 || req.InferWorkers > 0 {
-				// Legacy per-kind overrides: adopt them and re-derive the
-				// pool size from their sum instead of the default Workers.
-				if req.PrepWorkers > 0 {
-					mode.PrepWorkers = req.PrepWorkers
-				}
-				if req.InferWorkers > 0 {
-					mode.InferWorkers = req.InferWorkers
-				}
-				mode.Workers = 0
-			}
-			if req.Workers > 0 {
-				mode.Workers = req.Workers
-			}
-			if req.Lookahead != 0 {
-				mode.Lookahead = req.Lookahead
-			}
+	mode := core.SequentialMode
+	if req.Pipelined {
+		mode = s.defaultMode
+		mode.Pipelined = true
+		if req.Workers > 0 {
+			mode.Workers = req.Workers
 		}
-		rep, err := s.detector.DetectDatabase(ctx, server, req.Database, mode)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				// The deadline fired before any table resolved: still a
-				// valid, fully degraded response — not a server error.
-				resp.Degraded = true
-				resp.Errors = append(resp.Errors, err.Error())
-				return finish(), nil
-			}
-			return nil, apiErrorf(http.StatusInternalServerError, "detection failed: %v", err)
+		if req.Lookahead != 0 {
+			mode.Lookahead = req.Lookahead
 		}
-		for _, tr := range rep.Tables {
-			resp.Tables = append(resp.Tables, toDetectTable(tr))
-		}
-		resp.TotalColumns = rep.TotalColumns
-		resp.ScannedColumns = rep.ScannedColumns
-		resp.DegradedColumns = rep.DegradedColumns
-		resp.Retries = rep.Retries
-		resp.Degraded = rep.DegradedColumns > 0
-		for _, e := range rep.Errors {
-			resp.Errors = append(resp.Errors, e.Error())
-			if errors.Is(e, context.DeadlineExceeded) {
-				resp.Degraded = true
-			}
-		}
-	} else {
-		var conn *simdb.Conn
-		var err error
-		if conn, err = server.Connect(ctx, req.Database); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				resp.Degraded = true
-				resp.Errors = append(resp.Errors, err.Error())
-				return finish(), nil
-			}
-			return nil, apiErrorf(http.StatusInternalServerError, "connect: %v", err)
-		}
-		defer conn.Close()
-		for i, table := range req.Tables {
-			if err := ctx.Err(); err != nil {
-				// The request context is dead: every further DetectTable
-				// call would fail identically, so stop issuing them and
-				// record the remaining tables as skipped rather than
-				// appending one duplicate error per table.
-				resp.Degraded = true
-				for _, rest := range req.Tables[i:] {
-					resp.Tables = append(resp.Tables, DetectTable{
-						Table: rest, Columns: []DetectColumn{},
-						Skipped: true, SkipReason: err.Error(),
-					})
-				}
-				resp.Errors = append(resp.Errors,
-					fmt.Sprintf("%v: skipped %d remaining tables", err, len(req.Tables)-i))
-				break
-			}
-			tr, err := s.detector.DetectTable(ctx, conn, req.Database, table)
-			if err != nil {
-				resp.Errors = append(resp.Errors, err.Error())
-				if errors.Is(err, context.DeadlineExceeded) {
-					resp.Degraded = true
-				}
-				continue
-			}
-			resp.Tables = append(resp.Tables, toDetectTable(tr))
-			resp.TotalColumns += len(tr.Columns)
-			resp.ScannedColumns += tr.ScannedColumns
-			resp.DegradedColumns += tr.DegradedColumns()
-			// Per-call retry counts, not a before/after diff of the global
-			// fault ledger: concurrent requests would otherwise leak their
-			// retries into each other's responses.
-			resp.Retries += tr.Retries
-		}
-		if resp.DegradedColumns > 0 {
+	}
+	rep, err := s.detector.DetectDatabase(ctx, server, req.Database, mode, req.Tables...)
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || simdb.IsTransient(err) {
+			// The deadline fired, or a transient fault outlasted the
+			// connect/list retries, before any table resolved: still a
+			// valid, fully degraded response — not a server error.
 			resp.Degraded = true
+			resp.Errors = append(resp.Errors, err.Error())
+			return finish(), nil
 		}
+		if errors.Is(err, core.ErrDuplicateTable) {
+			return nil, apiErrorf(http.StatusBadRequest, "%v", err)
+		}
+		return nil, apiErrorf(http.StatusInternalServerError, "detection failed: %v", err)
+	}
+	for _, tr := range rep.Tables {
+		resp.Tables = append(resp.Tables, toDetectTable(tr))
+	}
+	resp.TotalColumns = rep.TotalColumns
+	resp.ScannedColumns = rep.ScannedColumns
+	resp.DegradedColumns = rep.DegradedColumns
+	resp.Retries = rep.Retries
+	resp.Degraded = rep.DegradedColumns > 0
+	// Tables the deadline killed before Phase 1 resolved are answered as
+	// skipped, under one summary error rather than one identical error
+	// each; every other table failure is reported as it is.
+	skipped := 0
+	for _, e := range rep.Errors {
+		var te *core.TableError
+		if errors.As(e, &te) && errors.Is(te, context.DeadlineExceeded) {
+			resp.Tables = append(resp.Tables, DetectTable{
+				Table: te.Table, Columns: []DetectColumn{},
+				Skipped: true, SkipReason: context.DeadlineExceeded.Error(),
+			})
+			skipped++
+			continue
+		}
+		resp.Errors = append(resp.Errors, e.Error())
+	}
+	if skipped > 0 {
+		resp.Degraded = true
+		resp.Errors = append(resp.Errors,
+			fmt.Sprintf("%v: skipped %d remaining tables", context.DeadlineExceeded, skipped))
 	}
 	return finish(), nil
 }

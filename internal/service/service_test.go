@@ -233,9 +233,9 @@ func TestDetectWorkerOverrides(t *testing.T) {
 	svc, ds := testService(t)
 	// A service default plus a request override must both be accepted and
 	// still produce a full result set.
-	svc.SetDefaultMode(core.ExecMode{Pipelined: true, PrepWorkers: 3, InferWorkers: 3})
+	svc.SetDefaultMode(core.ExecMode{Pipelined: true, Workers: 6})
 	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{
-		Database: "tenantdb", Pipelined: true, PrepWorkers: 1, InferWorkers: 2,
+		Database: "tenantdb", Pipelined: true, Workers: 3,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -283,6 +283,24 @@ func TestDetectNegativeDeadlineRejected(t *testing.T) {
 	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", DeadlineMillis: -5})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", rec.Code)
+	}
+}
+
+// TestDetectDuplicateTablesRejected: the batch keys its prefetched reads
+// and answers by table name, so a request naming a table twice is a 400.
+func TestDetectDuplicateTablesRejected(t *testing.T) {
+	svc, ds := testService(t)
+	name := ds.Test[0].Name
+	for _, pipelined := range []bool{false, true} {
+		rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{
+			Database: "tenantdb", Pipelined: pipelined, Tables: []string{name, ds.Test[1].Name, name},
+		})
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("pipelined=%v: status %d, want 400: %s", pipelined, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), name) {
+			t.Fatalf("pipelined=%v: error does not name the repeated table: %s", pipelined, rec.Body)
+		}
 	}
 }
 
@@ -387,6 +405,7 @@ func FuzzHandleDetect(f *testing.F) {
 	f.Add(`{"deadline_ms":-1}`)
 	f.Add(``)
 	f.Add(`{"database":"tenantdb","deadline_ms":9999999999999}`)
+	f.Add(`{"database":"tenantdb","tables":["ghost","ghost"],"pipelined":true}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/detect", strings.NewReader(body))
 		rec := httptest.NewRecorder()

@@ -194,10 +194,9 @@ func (p *PageStore) RestoreManifest(key string, data []byte) {
 // PageStoreStats summarizes physical storage. Logical (pre-dedup) sizes are
 // the registry's concern; the store only knows what it actually holds.
 type PageStoreStats struct {
-	Pages       int   `json:"pages"`
-	PageBytes   int64 `json:"page_bytes"`
-	Manifests   int   `json:"manifests"`
-	UniqueBytes int64 `json:"-"` // alias of PageBytes, kept for clarity at call sites
+	Pages     int   `json:"pages"`
+	PageBytes int64 `json:"page_bytes"`
+	Manifests int   `json:"manifests"`
 }
 
 // Stats reports physical page and manifest counts. It is a local observation
@@ -210,10 +209,9 @@ func (p *PageStore) Stats() PageStoreStats {
 		bytes += int64(len(d))
 	}
 	return PageStoreStats{
-		Pages:       len(p.pages),
-		PageBytes:   bytes,
-		Manifests:   len(p.manifests),
-		UniqueBytes: bytes,
+		Pages:     len(p.pages),
+		PageBytes: bytes,
+		Manifests: len(p.manifests),
 	}
 }
 

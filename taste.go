@@ -15,6 +15,11 @@
 //	det, _ := taste.NewDetector(model, taste.DefaultOptions())
 //	report, _ := det.DetectDatabase(ctx, server, "tenant", taste.PipelinedMode())
 //
+// DetectDatabase is the one detection entry point: it runs every table of
+// the database, or only the tables named after the mode, in that order:
+//
+//	report, _ = det.DetectDatabase(ctx, server, "tenant", taste.SequentialMode, "orders")
+//
 // Every detection entry point accepts a context.Context: a deadline on the
 // context bounds the whole batch, and columns whose Phase-2 work the
 // deadline (or a flaky database) cuts off degrade to Phase-1 answers marked
